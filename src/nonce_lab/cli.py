@@ -456,9 +456,23 @@ def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _train_for_attack(rc: RunConfig, seed: int):
+    # Each batch is harvested at once, so its full traces are freed early.
     train_set = harvest_swap_windows(
         _simulate_scalars(rc, derive_seed(seed, "train"), rc.train_count)
     )
+    # Each training trace draws the mostly-swap or the mostly-hold nonce;
+    # the ladder's mostly-swap nonce yields only cond = 1 windows, so when
+    # every draw picks it one class is empty.  Further chunks under their
+    # own seeds are added until both classes can be fitted.
+    extra = 0
+    while np.bincount(train_set.labels.ravel(), minlength=2).min() < 2:
+        more = harvest_swap_windows(
+            _simulate_scalars(
+                rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK
+            )
+        )
+        train_set = _merge_sets([train_set, more])
+        extra += 1
     cfg = _sim_config(rc, 0)
     return fit_swap_classifier(
         train_set, cfg, poi_count=rc.poi_count, mode=rc.template_mode

@@ -9,6 +9,7 @@ between consecutive iterations are exactly the conditional swaps.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import ndimage, signal
 
 from .errors import AlignmentError, ConfigError, DomainError
-from .events import EventRecorder, OpKind, WORD_OP_KINDS
+from .events import EventRecorder, WORD_OP_KINDS
 from .ff_curve import (
     CurveParams,
     ProjectivePoint,
@@ -230,10 +231,14 @@ def _peak_positions(
         return []
     order = candidates[np.argsort(corr[candidates])[::-1]]
     taken: list[int] = []
-    for position in order:
-        if all(abs(position - p) >= min_distance for p in taken):
-            taken.append(int(position))
-    return sorted(taken)
+    for position in order.tolist():
+        # taken stays sorted, so only the two kept neighbours can be close.
+        i = bisect.bisect(taken, position)
+        if (i == 0 or position - taken[i - 1] >= min_distance) and (
+            i == len(taken) or taken[i] - position >= min_distance
+        ):
+            taken.insert(i, position)
+    return taken
 
 
 def _coherent_spacing(positions: Sequence[int]) -> bool:
@@ -533,11 +538,6 @@ def detect_schedule(
         if score > best_score:
             best_frequency, best_score = float(f_cpu), score
     return best_frequency, bool(best_score >= threshold)
-
-
-def export_csv(grid: np.ndarray, path: Path | str) -> None:
-    """Write an envelope or STFT grid as CSV for external plotting."""
-    np.savetxt(path, np.atleast_2d(np.asarray(grid)), delimiter=",", fmt="%.9g")
 
 
 def write_windows_csv(aligned: AlignedSwapWindows, path: Path | str) -> None:

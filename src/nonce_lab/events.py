@@ -1,16 +1,16 @@
 """Micro-op event stream shared by the arithmetic and swap layers.
 
-The leakage simulator does not model voltages directly; it consumes a list of
-SwapTraceEvent records describing what the device did and how many bits
+The leakage simulator does not model voltages directly; it consumes an
+EventRecorder, whose columns say what the device did and how many bits
 toggled while doing it. Field operations and swap word operations both emit
-into the same stream so that a full scalar multiplication serializes to one
-ordered event list.
+into the same recorder so that a full scalar multiplication serializes to
+one ordered event stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple, Sequence
 
 WORD_BITS = 64
 
@@ -29,6 +29,14 @@ class OpKind(Enum):
     FIELD_ADD_SUB = "field_add_sub"
     RERANDOMIZE = "rerandomize"
 
+    def __init__(self, value: str) -> None:
+        # Column id in an EventRecorder (the definition order), read on every
+        # emit: a plain attribute, because Enum.__hash__ runs in Python.
+        self.code = len(type(self).__members__)
+
+
+KIND_BY_CODE: tuple[OpKind, ...] = tuple(OpKind)
+
 
 # Word-level ops handle one 64-bit machine word, so their leak value (a
 # Hamming weight or distance) can never exceed WORD_BITS.
@@ -43,8 +51,7 @@ WORD_OP_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SwapTraceEvent:
+class SwapTraceEvent(NamedTuple):
     """One micro-operation with its data-dependent leak value.
 
     leak_value is a bit count (Hamming weight or Hamming distance) of
@@ -59,32 +66,39 @@ class SwapTraceEvent:
     time_index: int
     ground_truth_cond: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.leak_value < 0:
-            raise ValueError(f"negative leak value {self.leak_value}")
-        if self.op_kind in WORD_OP_KINDS and self.leak_value > WORD_BITS:
-            raise ValueError(
-                f"{self.op_kind.value} leak {self.leak_value} exceeds word width"
-            )
-        if self.time_index < 0:
-            raise ValueError(f"negative time index {self.time_index}")
-        if self.ground_truth_cond not in (None, 0, 1):
-            raise ValueError(f"swap condition must be 0 or 1, got {self.ground_truth_cond}")
 
+class EventRecorder(Sequence):
+    """Append-only event stream kept as three parallel columns.
 
-class EventRecorder:
-    """Append-only sink assigning strictly increasing time indices."""
+    ``kinds`` holds each event's ``OpKind.code``, ``leaks`` its leak value
+    and ``conds`` its swap condition (None for plain arithmetic); an
+    event's time index is its position. ``emit`` builds no object and
+    checks nothing, since ``synthesize`` validates the columns once.
+    ``SwapTraceEvent`` rows are built on access: indexing, iteration or
+    ``events``.
+    """
+
+    __slots__ = ("kinds", "leaks", "conds")
 
     def __init__(self) -> None:
-        self.events: list[SwapTraceEvent] = []
+        self.kinds: list[int] = []
+        self.leaks: list[int] = []
+        self.conds: list[int | None] = []
 
     def emit(self, kind: OpKind, leak_value: int, cond: int | None = None) -> None:
-        self.events.append(
-            SwapTraceEvent(kind, leak_value, len(self.events), cond)
-        )
+        self.kinds.append(kind.code)
+        self.leaks.append(leak_value)
+        self.conds.append(cond)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
 
-    def __iter__(self):
-        return iter(self.events)
+    def __getitem__(self, i: int) -> SwapTraceEvent:
+        i = range(len(self.kinds))[i]
+        return SwapTraceEvent(
+            KIND_BY_CODE[self.kinds[i]], self.leaks[i], i, self.conds[i]
+        )
+
+    @property
+    def events(self) -> list[SwapTraceEvent]:
+        return list(self)

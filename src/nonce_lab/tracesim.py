@@ -12,16 +12,24 @@ the analysis pipeline has to cope with on real captures.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 import struct
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .events import WORD_OP_KINDS, OpKind, SwapTraceEvent
+from .events import (
+    KIND_BY_CODE,
+    WORD_BITS,
+    WORD_OP_KINDS,
+    EventRecorder,
+    OpKind,
+    SwapTraceEvent,
+)
 from .ff_curve import (
     CurveParams,
     ProjectivePoint,
@@ -31,16 +39,9 @@ from .ff_curve import (
     reference_multiply,
 )
 from .swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
-from .events import EventRecorder
 
 TRACE_MAGIC = b"SCTR"
 TRACE_VERSION = 1
-
-_KIND_ORDER: tuple[OpKind, ...] = tuple(OpKind)
-_KIND_INDEX: dict[OpKind, int] = {kind: i for i, kind in enumerate(_KIND_ORDER)}
-_WORD_KIND_IDS = np.array(
-    sorted(_KIND_INDEX[kind] for kind in WORD_OP_KINDS), dtype=np.uint8
-)
 
 # Fraction of samples_per_event each operation occupies.  Multiplies and
 # squarings form the visible blocks; add/sub/shift are the short gaps
@@ -70,6 +71,12 @@ _FLOOR_KINDS = frozenset(
 # add/sub gaps as bright as the multiply blocks and erase the structure
 # alignment keys on.
 _ARITH_LEAK_DAMPING = 1.0 / 32.0
+
+# The same facts as lookup arrays indexed by OpKind.code.
+_IS_WORD = np.array([kind in WORD_OP_KINDS for kind in KIND_BY_CODE])
+_HAS_FLOOR = np.array([kind in _FLOOR_KINDS for kind in KIND_BY_CODE])
+_DIVISORS = np.array([_DURATION_DIVISOR[kind] for kind in KIND_BY_CODE])
+_LEAK_GAIN = np.where(_IS_WORD, 1.0, _ARITH_LEAK_DAMPING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,12 +112,13 @@ class SimConfig:
                 raise ConfigError(f"malformed interference burst {burst!r}") from exc
             if not (0.0 <= start <= 1.0 and 0.0 <= length <= 1.0):
                 raise ConfigError("interference fractions must lie in [0, 1]")
-            if amplitude < 0.0:
-                raise ConfigError("interference amplitude must be non-negative")
+            if not 0.0 <= amplitude < math.inf:
+                raise ConfigError("interference amplitude must be finite and non-negative")
             bursts.append((start, length, amplitude))
         object.__setattr__(self, "interference", tuple(bursts))
-        if self.f_cpu <= 0.0 or self.sample_rate <= 0.0:
-            raise ConfigError("f_cpu and sample_rate must be positive")
+        # Chained comparisons are False for NaN, so NaN fails every check.
+        if not (0.0 < self.f_cpu < math.inf and 0.0 < self.sample_rate < math.inf):
+            raise ConfigError("f_cpu and sample_rate must be positive and finite")
         if self.mod_ratio <= 0:
             raise ConfigError("mod_ratio must be positive")
         if not isinstance(self.samples_per_event, int) or self.samples_per_event < 8:
@@ -120,12 +128,12 @@ class SimConfig:
                 "samples_per_event must be a multiple of 8 so word-level "
                 "events keep an integral duration"
             )
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise_sigma must be non-negative")
-        if self.snr_scale <= 0.0:
-            raise ConfigError("snr_scale must be positive")
-        if self.baseline < 0.0 or self.activity_floor < 0.0:
-            raise ConfigError("baseline and activity_floor must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be finite and non-negative")
+        if not 0.0 < self.snr_scale < math.inf:
+            raise ConfigError("snr_scale must be positive and finite")
+        if not (0.0 <= self.baseline < math.inf and 0.0 <= self.activity_floor < math.inf):
+            raise ConfigError("baseline and activity_floor must be finite and non-negative")
         if not 0.0 <= self.interruption_prob <= 1.0:
             raise ConfigError("interruption_prob must lie in [0, 1]")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -168,7 +176,7 @@ class MarkerTable(Sequence):
     on access.
     """
 
-    __slots__ = ("starts", "ends", "kinds", "conds", "interfered")
+    __slots__ = ("starts", "ends", "kinds", "conds", "interfered", "_windows")
 
     def __init__(
         self,
@@ -186,6 +194,8 @@ class MarkerTable(Sequence):
         if interfered is None:
             interfered = np.zeros(self.starts.size, dtype=bool)
         self.interfered = np.asarray(interfered, dtype=bool)
+        # swap_windows caches its result here; tables are never modified.
+        self._windows: tuple[SwapWindow, ...] | None = None
         n = self.starts.size
         if not (self.ends.size == self.kinds.size == self.conds.size == n
                 and self.interfered.size == n):
@@ -201,24 +211,6 @@ class MarkerTable(Sequence):
         z = np.zeros(0, dtype=np.int64)
         return cls(z, z, z, z)
 
-    @classmethod
-    def from_events(
-        cls,
-        events: Sequence[SwapTraceEvent],
-        starts: np.ndarray,
-        durations: np.ndarray,
-    ) -> "MarkerTable":
-        kinds = np.fromiter(
-            (_KIND_INDEX[e.op_kind] for e in events), np.uint8, len(events)
-        )
-        conds = np.fromiter(
-            (-1 if e.ground_truth_cond is None else e.ground_truth_cond
-             for e in events),
-            np.int8,
-            len(events),
-        )
-        return cls(starts, starts + durations, kinds, conds)
-
     def __len__(self) -> int:
         return self.starts.size
 
@@ -229,14 +221,10 @@ class MarkerTable(Sequence):
         return Marker(
             int(self.starts[i]),
             int(self.ends[i]),
-            _KIND_ORDER[self.kinds[i]],
+            KIND_BY_CODE[self.kinds[i]],
             None if cond < 0 else cond,
             bool(self.interfered[i]),
         )
-
-    def __iter__(self) -> Iterator[Marker]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkerTable):
@@ -270,8 +258,8 @@ class LeakageTrace:
     def __post_init__(self) -> None:
         if self.samples.ndim != 1:
             raise DomainError("trace samples must form a one-dimensional array")
-        if self.sample_rate <= 0.0:
-            raise DomainError("sample_rate must be positive")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise DomainError("sample_rate must be positive and finite")
         if len(self.markers) and int(self.markers.ends[-1]) > self.samples.size:
             raise DomainError("marker spans run past the end of the trace")
 
@@ -297,31 +285,25 @@ def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
     exactly the swap executions.
     """
     mt = trace.markers
-    in_swap = np.isin(mt.kinds, _WORD_KIND_IDS) & (mt.conds >= 0)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], in_swap.astype(np.int8), [0]))))
-    windows = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        conds = np.unique(mt.conds[a:b])
-        if conds.size != 1:
+    if mt._windows is None:
+        in_swap = _IS_WORD[mt.kinds] & (mt.conds >= 0)
+        if (in_swap[1:] & in_swap[:-1] & (mt.conds[1:] != mt.conds[:-1])).any():
             raise DomainError("swap window mixes ground-truth conditions")
-        windows.append(
-            SwapWindow(
-                int(mt.starts[a]),
-                int(mt.ends[b - 1]),
-                int(conds[0]),
-                bool(mt.interfered[a:b].any()),
-            )
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], in_swap.astype(np.int8), [0]))))
+        first, stop = edges[::2], edges[1::2]
+        flagged = np.concatenate(([0], np.cumsum(mt.interfered)))
+        rows = zip(
+            mt.starts[first].tolist(),
+            mt.ends[stop - 1].tolist(),
+            mt.conds[first].tolist(),
+            (flagged[stop] > flagged[first]).tolist(),
         )
-    return windows
-
-
-def event_duration(kind: OpKind, samples_per_event: int) -> int:
-    """Samples one event of the given kind occupies."""
-    return samples_per_event // _DURATION_DIVISOR[kind]
+        mt._windows = tuple(SwapWindow(*row) for row in rows)
+    return list(mt._windows)
 
 
 def synthesize(
-    events: Iterable[SwapTraceEvent],
+    events: EventRecorder | Iterable[SwapTraceEvent],
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
     *,
@@ -335,37 +317,37 @@ def synthesize(
     ``cfg.f_mod`` and Gaussian noise is added on top.  With probability
     ``interruption_prob`` a silent gap of random length is spliced in at
     a random event boundary.
+
+    The recorder's columns are validated here, once; any other iterable
+    of ``SwapTraceEvent`` rows is first re-emitted into a recorder.
     """
-    evs = list(events)
-    if not evs:
+    if not isinstance(events, EventRecorder):
+        rows, events = events, EventRecorder()
+        for row in rows:
+            events.emit(row.op_kind, row.leak_value, row.ground_truth_cond)
+    if not len(events):
         raise DomainError("cannot synthesize an empty event stream")
+    kinds = np.array(events.kinds, dtype=np.uint8)
+    leaks = np.array(events.leaks, dtype=np.float64)
+    conds = np.array(events.conds, dtype=np.float64)  # None reads as NaN
+    unconditioned = np.isnan(conds)
+    if (leaks < 0).any():
+        raise DomainError("negative leak value")
+    if (leaks[_IS_WORD[kinds]] > WORD_BITS).any():
+        raise DomainError("word-level leak value exceeds the word width")
+    if not np.isin(conds[~unconditioned], (0, 1)).all():
+        raise DomainError("swap condition must be 0, 1 or None")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     spe = cfg.samples_per_event
 
-    durations = np.fromiter(
-        (spe // _DURATION_DIVISOR[e.op_kind] for e in evs), np.int64, len(evs)
-    )
-    floors = np.fromiter(
-        (cfg.activity_floor if e.op_kind in _FLOOR_KINDS else 0.0 for e in evs),
-        np.float64,
-        len(evs),
-    )
-    leaks = np.fromiter(
-        (
-            e.leak_value
-            if e.op_kind in WORD_OP_KINDS
-            else e.leak_value * _ARITH_LEAK_DAMPING
-            for e in evs
-        ),
-        np.float64,
-        len(evs),
-    )
-    amplitudes = cfg.baseline + floors + leaks * cfg.snr_scale
+    durations = (spe // _DIVISORS)[kinds]
+    floors = np.where(_HAS_FLOOR[kinds], cfg.activity_floor, 0.0)
+    amplitudes = cfg.baseline + floors + leaks * _LEAK_GAIN[kinds] * cfg.snr_scale
 
     gap_index = gap_len = 0
     if cfg.interruption_prob > 0.0 and rng.random() < cfg.interruption_prob:
-        gap_index = int(rng.integers(1, len(evs)))
+        gap_index = int(rng.integers(1, len(events)))
         gap_len = int(rng.integers(spe, 8 * spe + 1))
 
     envelope = np.repeat(amplitudes, durations)
@@ -377,11 +359,14 @@ def synthesize(
         )
         starts[gap_index:] += gap_len
 
+    # In place: each temporary of a full trace's length raises peak memory.
     n = envelope.size
-    t = np.arange(n, dtype=np.float64) / cfg.sample_rate
-    samples = envelope * np.cos(2.0 * np.pi * cfg.f_mod * t)
+    samples = np.arange(n, dtype=np.float64) / cfg.sample_rate
+    samples *= 2.0 * np.pi * cfg.f_mod
+    np.cos(samples, out=samples)
+    samples *= envelope
     if cfg.noise_sigma > 0.0:
-        samples = samples + rng.normal(0.0, cfg.noise_sigma, n)
+        samples += rng.normal(0.0, cfg.noise_sigma, n)
 
     trace_meta = {
         "f_cpu": str(cfg.f_cpu),
@@ -389,11 +374,11 @@ def synthesize(
     }
     if meta:
         trace_meta.update(meta)
+    markers = MarkerTable(
+        starts, starts + durations, kinds, np.where(unconditioned, -1, conds)
+    )
     return LeakageTrace(
-        samples=samples,
-        sample_rate=cfg.sample_rate,
-        markers=MarkerTable.from_events(evs, starts, durations),
-        meta=trace_meta,
+        samples=samples, sample_rate=cfg.sample_rate, markers=markers, meta=trace_meta
     )
 
 

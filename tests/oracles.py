@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 
 def affine_add(P, Q, p, a):
     """Chord-and-tangent addition on affine tuples; None is the identity."""
@@ -138,3 +140,21 @@ def measured_leak_delta(run, word_count, samples, seed):
         for cond in (0, 1):
             totals[cond] += run(a, b, cond)
     return (totals[1] - totals[0]) / samples
+
+
+def greedy_peak_positions(corr, threshold, min_distance):
+    """Quadratic greedy non-maximum suppression over a correlation track.
+
+    Candidates at or above ``threshold`` are visited strongest first and
+    kept when every position kept so far lies at least ``min_distance``
+    away; the result is sorted.
+    """
+    candidates = np.flatnonzero(corr >= threshold)
+    if candidates.size == 0:
+        return []
+    order = candidates[np.argsort(corr[candidates])[::-1]]
+    taken = []
+    for position in order:
+        if all(abs(position - p) >= min_distance for p in taken):
+            taken.append(int(position))
+    return sorted(taken)

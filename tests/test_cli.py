@@ -72,6 +72,13 @@ class TestConfigResolution:
         assert run_cli("keygen", "--config", cfg) == 1
         assert "variant" in capsys.readouterr().err
 
+    def test_non_finite_value_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", sample_rate=float("nan"))
+        code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
+        assert code in (1, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -221,6 +228,15 @@ class TestAttack:
         assert (again / "summary.json").read_bytes() == (
             first / "summary.json"
         ).read_bytes()
+
+    def test_attack_survives_one_class_training_draw(self, tmp_path):
+        # All eight training draws at this seed pick the mostly-swap
+        # nonce, whose ladder windows are all cond = 1.
+        code = run_cli(
+            "attack", "--curve", "secp521r1", "--seed", 8501952792049665477,
+            "--out", tmp_path / "atk",
+        )
+        assert code in (0, 2)
 
     def test_attack_daa_multiplier(self, tmp_path):
         cfg = self.attack_config(tmp_path, multiplier="daa")

@@ -5,6 +5,7 @@ import pytest
 
 from nonce_lab.dsp import (
     FilterSpec,
+    _peak_positions,
     align_swaps,
     bandpass,
     detect_schedule,
@@ -32,6 +33,7 @@ from nonce_lab.tracesim import (
     swap_windows,
     synthesize,
 )
+from oracles import greedy_peak_positions
 
 CENTER = SimConfig().f_mod
 
@@ -230,6 +232,24 @@ def test_align_tolerates_interruption(toy, seed):
     trace = scalar_mult_trace(toy, 0x51F3, cfg)
     aligned = align_swaps(trace, toy, cfg)
     assert len(aligned) == toy.n.bit_length()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peak_positions_match_quadratic_greedy(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 1200))
+    # One-decimal values tie often; repeating each value makes plateaus.
+    values = np.round(rng.normal(0.0, 1.0, n), 1)
+    tracks = (
+        np.repeat(values, rng.integers(1, 8, n))[:n],
+        np.convolve(values, np.hanning(31), "same"),
+    )
+    for corr in tracks:
+        for threshold in (-np.inf, 0.0, 1.5, 100.0):
+            for min_distance in (1, 7, 64):
+                expected = greedy_peak_positions(corr, threshold, min_distance)
+                assert _peak_positions(corr, threshold, min_distance) == expected
+    assert _peak_positions(tracks[0], 100.0, 7) == []
 
 
 def test_align_rejects_pure_noise(toy):

@@ -16,7 +16,10 @@ from nonce_lab.ff_curve import (
 )
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 from nonce_lab.tracesim import (
+    LeakageTrace,
+    MarkerTable,
     SimConfig,
+    SwapWindow,
     TraceSet,
     generate_swap_windows,
     generate_training_set,
@@ -63,6 +66,15 @@ def test_config_rejects_nyquist_violation():
         {"interruption_prob": 2.0},
         {"seed": -1},
         {"mod_ratio": 0},
+        {"interference": ((0.1, 0.1, float("nan")),)},
+        {"f_cpu": float("nan")},
+        {"sample_rate": float("nan")},
+        {"sample_rate": float("inf")},
+        {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
+        {"snr_scale": float("inf")},
+        {"baseline": float("nan")},
+        {"activity_floor": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
@@ -80,6 +92,63 @@ def test_hardware_scale_preserves_ratios():
 def test_synthesize_rejects_empty_stream():
     with pytest.raises(DomainError):
         synthesize([], quiet_cfg())
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_trace_rejects_bad_sample_rate(rate):
+    with pytest.raises(DomainError):
+        LeakageTrace(np.zeros(4), rate, MarkerTable.empty(), {})
+
+
+def test_recorder_rows_follow_emission_order():
+    emitted = [
+        (OpKind.FIELD_MUL, 300, None),
+        (OpKind.MASK_COMPUTE, 64, 1),
+        (OpKind.STORE_A, 0, 0),
+        (OpKind.FIELD_ADD_SUB, 7, None),
+    ]
+    rec = EventRecorder()
+    for kind, leak, cond in emitted:
+        rec.emit(kind, leak, cond)
+    rows = [
+        (e.time_index, e.op_kind, e.leak_value, e.ground_truth_cond) for e in rec
+    ]
+    assert rows == [(i, *event) for i, event in enumerate(emitted)]
+    assert rec.events == list(rec) == [rec[i] for i in range(len(rec))]
+    assert rec[-1].time_index == 3
+    with pytest.raises(IndexError):
+        rec[4]
+    assert len(synthesize(rec, quiet_cfg()).markers) == len(emitted)
+
+
+def test_synthesize_reads_recorder_and_rows_alike(toy):
+    rec = EventRecorder()
+    montgomery_ladder(
+        Scalar.for_curve(0x51F3, toy), toy.generator, toy,
+        SwapVariant(SwapKind.MASKED, rng_seed=3), rec,
+    )
+    cfg = SimConfig(seed=11, interruption_prob=1.0)
+    a = synthesize(rec, cfg)
+    b = synthesize(list(rec), cfg)
+    assert np.array_equal(a.samples, b.samples)
+    assert a.markers == b.markers
+
+
+@pytest.mark.parametrize(
+    "kind, leak, cond",
+    [
+        (OpKind.FIELD_MUL, -1, None),
+        (OpKind.STORE_B, 65, 1),
+        (OpKind.DELTA_COMPUTE, 3, 2),
+        (OpKind.MASK_COMPUTE, 0, -1),
+    ],
+)
+def test_synthesize_rejects_invalid_events(kind, leak, cond):
+    rec = EventRecorder()
+    rec.emit(OpKind.FIELD_MUL, 0)
+    rec.emit(kind, leak, cond)
+    with pytest.raises(DomainError):
+        synthesize(rec, quiet_cfg())
 
 
 def test_zero_leak_events_give_pure_carrier():
@@ -270,6 +339,27 @@ def test_swap_windows_carry_ladder_conditions(toy):
     span = 10 * (cfg.samples_per_event // 8)
     assert all(w.end - w.start == span for w in windows)
     assert not any(w.interfered for w in windows)
+
+
+def test_swap_windows_runs_flags_and_mixed_conditions():
+    word, arith = OpKind.STORE_A.code, OpKind.FIELD_MUL.code
+    kinds = [arith, word, word, arith, word, word, word]
+    conds = [-1, 1, 1, -1, 0, 0, 0]
+    # Interference right before, between and at the start of the runs.
+    interfered = [True, False, False, True, True, False, False]
+    starts = 4 * np.arange(len(kinds))
+
+    def trace(conds):
+        markers = MarkerTable(starts, starts + 4, kinds, conds, interfered)
+        return LeakageTrace(np.zeros(28), 1.0, markers, {})
+
+    assert swap_windows(trace(conds)) == [
+        SwapWindow(4, 12, 1, False),
+        SwapWindow(16, 28, 0, True),
+    ]
+    conds[5] = 1
+    with pytest.raises(DomainError):
+        swap_windows(trace(conds))
 
 
 def test_generate_swap_windows_layout_and_labels():
