@@ -25,6 +25,8 @@ from .tracesim import (
     MarkerTable,
     SimConfig,
     TraceSet,
+    check_file_size,
+    parse_meta,
     swap_windows,
 )
 
@@ -440,9 +442,10 @@ def write_model(model: TemplateModel, path: Path | str) -> None:
 def read_model(path: Path | str) -> TemplateModel:
     """Load a template model, revalidating its invariants."""
     header_fmt = "<4sIBII"
+    header_size = struct.calcsize(header_fmt)
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize(header_fmt))
-        if len(header) != struct.calcsize(header_fmt):
+        header = fh.read(header_size)
+        if len(header) != header_size:
             raise DomainError(f"{path} is truncated")
         magic, version, mode_flag, p, meta_len = struct.unpack(header_fmt, header)
         if magic != MODEL_MAGIC:
@@ -451,16 +454,11 @@ def read_model(path: Path | str) -> TemplateModel:
             raise DomainError(f"unsupported model version {version}")
         if mode_flag not in (0, 1):
             raise DomainError(f"unknown covariance mode flag {mode_flag}")
-        trained_on: dict[str, str] = {}
-        for line in fh.read(meta_len).decode().splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                trained_on[key] = value
         mode = "diag" if mode_flag == 0 else "full"
         cov_count = p if mode == "diag" else p * p
+        check_file_size(fh, header_size + meta_len + 8 * (3 * p + cov_count), path)
+        trained_on = parse_meta(fh.read(meta_len), path)
         payload = fh.read(8 * (3 * p + cov_count))
-        if len(payload) != 8 * (3 * p + cov_count):
-            raise DomainError(f"{path} is truncated")
     poi = np.frombuffer(payload[: 8 * p], dtype="<i8")
     mean0 = np.frombuffer(payload[8 * p : 16 * p], dtype="<f8")
     mean1 = np.frombuffer(payload[16 * p : 24 * p], dtype="<f8")

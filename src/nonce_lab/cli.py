@@ -49,6 +49,7 @@ from .analysis import (
 from .dsp import align_swaps, write_windows_csv
 from .ecdsa import (
     keygen,
+    parse_hex,
     read_private_key,
     read_signatures,
     recover_private_key,
@@ -345,7 +346,7 @@ def _known_bits(path: str) -> list[int]:
             continue
         if not line.startswith("a="):
             raise DomainError(f"{path}:{lineno}: expected 'a=<hex>', got {raw!r}")
-        out.append(int(line[2:], 16))
+        out.append(parse_hex(line[2:], f"{path}:{lineno}"))
     return out
 
 

@@ -5,6 +5,11 @@ carrier, rectify and median-smooth into an envelope, optionally inspect
 with an STFT, then matched-filter the envelope against the ladder-step
 fingerprint to locate every scalar-multiplication iteration.  The gaps
 between consecutive iterations are exactly the conditional swaps.
+
+The Kaiser band-pass design and the FFT convolution are small ports of
+``scipy.signal`` that reproduce its results bit for bit.  Importing
+``scipy.signal`` (and ``scipy.stats`` behind it) took longer than the
+filtering it was used for, on every process start.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage, special
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import AlignmentError, ConfigError, DomainError
 from .events import EventRecorder, WORD_OP_KINDS
@@ -82,6 +88,58 @@ class AlignedSwapWindows:
         return len(self.spans)
 
 
+def _kaiserord(ripple: float, width: float) -> tuple[int, float]:
+    """Tap count and Kaiser beta for ``ripple`` dB of attenuation.
+
+    Kaiser's empirical formulas (Oppenheim and Schafer, Discrete-Time
+    Signal Processing, pp. 475-476) for a transition ``width`` given as a
+    fraction of the Nyquist frequency, evaluated in the same order as
+    ``scipy.signal.kaiserord`` so both give the same bits.
+    """
+    a = abs(ripple)
+    if a > 50:
+        beta = 0.1102 * (a - 8.7)
+    elif a > 21:
+        beta = 0.5842 * (a - 21) ** 0.4 + 0.07886 * (a - 21)
+    else:
+        beta = 0.0
+    # The formula gives the filter order; the tap count is one more.
+    numtaps = (a - 7.95) / 2.285 / (np.pi * width) + 1
+    return int(math.ceil(numtaps)), beta
+
+
+def _kaiser_bandpass(
+    numtaps: int, band: tuple[float, float], beta: float, fs: float
+) -> np.ndarray:
+    """Kaiser-windowed sinc taps passing ``band`` (Hz) at unit centre gain.
+
+    The window method of ``scipy.signal.firwin(numtaps, band,
+    window=("kaiser", beta), pass_zero=False, fs=fs)``, step for step:
+    the ideal band-pass impulse response, times a symmetric Kaiser
+    window, scaled so the response at the band centre is exactly 1.
+    """
+    left, right = np.asarray(band, dtype=np.float64) / (0.5 * fs)
+    half = 0.5 * (numtaps - 1)
+    m = np.arange(0, numtaps, dtype=np.float64) - half
+    h = right * np.sinc(right * m)
+    h -= left * np.sinc(left * m)
+    h *= special.i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / special.i0(beta)
+    h /= np.sum(h * np.cos(np.pi * m * (0.5 * (left + right))))
+    return h
+
+
+def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays through the FFT.
+
+    Both spectra are taken at the next fast length for real transforms,
+    which are the calls ``scipy.signal.fftconvolve`` makes, so the
+    result carries the same bits.
+    """
+    n = x.size + kernel.size - 1
+    size = next_fast_len(n, True)
+    return irfftn(rfftn(x, [size]) * rfftn(kernel, [size]), [size])[:n]
+
+
 def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
     """Linear-phase FIR bandpass with the group delay compensated.
 
@@ -93,21 +151,25 @@ def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
     spec.validate_for(trace.sample_rate)
     nyquist = trace.sample_rate / 2.0
     transition = (spec.bandwidth / 2.0) / nyquist
-    numtaps, beta = signal.kaiserord(_STOPBAND_DB, transition)
+    numtaps, beta = _kaiserord(_STOPBAND_DB, transition)
     numtaps |= 1
     if numtaps > trace.samples.size:
         raise ConfigError(
             f"trace of {trace.samples.size} samples is too short for a "
             f"{numtaps}-tap filter at this bandwidth"
         )
-    taps = signal.firwin(
+    taps = _kaiser_bandpass(
         numtaps,
         (spec.center - spec.bandwidth / 2.0, spec.center + spec.bandwidth / 2.0),
-        window=("kaiser", beta),
-        pass_zero=False,
-        fs=trace.sample_rate,
+        beta,
+        trace.sample_rate,
     )
-    filtered = signal.fftconvolve(trace.samples, taps, mode="same")
+    # The centred slice of the full convolution undoes the group delay;
+    # copying it lets the padded FFT buffer go.
+    start = (numtaps - 1) // 2
+    filtered = _fft_convolve(trace.samples, taps)[
+        start : start + trace.samples.size
+    ].copy()
     return LeakageTrace(
         samples=filtered,
         sample_rate=trace.sample_rate,
@@ -212,7 +274,8 @@ def _normalized_xcorr(envelope: np.ndarray, template: np.ndarray) -> np.ndarray:
     if t_norm == 0.0:
         raise AlignmentError("pattern template is constant")
     width = template.size
-    numerator = signal.fftconvolve(envelope, t[::-1], mode="valid")
+    # Only the lags where the template lies wholly inside the envelope.
+    numerator = _fft_convolve(envelope, t[::-1])[width - 1 : envelope.size]
     cumulative = np.concatenate(([0.0], np.cumsum(envelope)))
     cumulative_sq = np.concatenate(([0.0], np.cumsum(envelope**2)))
     window_sum = cumulative[width:] - cumulative[:-width]

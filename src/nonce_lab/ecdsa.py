@@ -155,6 +155,14 @@ def recover_private_key(sig: Signature, k: int, curve: CurveParams) -> int:
 # Line-oriented hex serialization.
 
 
+def parse_hex(text: str, where: str) -> int:
+    """One hex field of an input file; malformed text is a ``DomainError``."""
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise DomainError(f"{where}: {text!r} is not a hex integer") from None
+
+
 def write_private_key(path: str | Path, key: KeyPair) -> None:
     Path(path).write_text(f"d={key.d:x}\n")
 
@@ -167,7 +175,7 @@ def read_private_key(path: str | Path, curve: CurveParams) -> KeyPair:
             continue
         if not line.startswith("d="):
             raise DomainError(f"{path}: expected 'd=<hex>', got {raw!r}")
-        d = int(line[2:], 16)
+        d = parse_hex(line[2:], str(path))
         Q = montgomery_ladder(Scalar.for_curve(d, curve), curve.generator, curve)
         return KeyPair(curve, d, Q)
     raise DomainError(f"{path}: no key line found")
@@ -187,7 +195,7 @@ def read_signatures(path: str | Path) -> list[Signature]:
         parts = dict(p.split("=", 1) for p in line.split() if "=" in p)
         if set(parts) != {"r", "s", "z"}:
             raise DomainError(f"{path}:{lineno}: expected 'r= s= z=', got {raw!r}")
-        sigs.append(Signature(int(parts["r"], 16), int(parts["s"], 16), int(parts["z"], 16)))
+        sigs.append(Signature(*(parse_hex(parts[f], f"{path}:{lineno}") for f in "rsz")))
     return sigs
 
 
@@ -204,5 +212,5 @@ def read_nonces(path: str | Path, curve: CurveParams) -> list[Scalar]:
             continue
         if not line.startswith("k="):
             raise DomainError(f"{path}:{lineno}: expected 'k=<hex>', got {raw!r}")
-        out.append(Scalar.for_curve(int(line[2:], 16), curve))
+        out.append(Scalar.for_curve(parse_hex(line[2:], f"{path}:{lineno}"), curve))
     return out

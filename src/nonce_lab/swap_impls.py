@@ -88,10 +88,6 @@ class WordArrayPair:
         return len(self.a)
 
 
-def _hw(word: int) -> int:
-    return word.bit_count()
-
-
 def ct_swap(
     variant: SwapVariant,
     pair: WordArrayPair,
@@ -119,46 +115,46 @@ def ct_swap(
     if kind is SwapKind.PLAIN:
         mask = (-cond) & WORD_MASK
         if emit:
-            emit(OpKind.MASK_COMPUTE, _hw(mask), cond)
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
         for i in range(len(a)):
             delta = (a[i] ^ b[i]) & mask
             na = a[i] ^ delta
             nb = b[i] ^ delta
             if emit:
-                emit(OpKind.DELTA_COMPUTE, _hw(delta), cond)
-                emit(OpKind.STORE_A, _hw(a[i] ^ na), cond)
-                emit(OpKind.STORE_B, _hw(b[i] ^ nb), cond)
+                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
             a[i], b[i] = na, nb
 
     elif kind is SwapKind.LIBGCRYPT:
         mask = (-cond) & WORD_MASK
         inv = mask ^ WORD_MASK
         if emit:
-            emit(OpKind.MASK_COMPUTE, _hw(mask), cond)
-            emit(OpKind.INV_MASK_COMPUTE, _hw(inv), cond)
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
+            emit(OpKind.INV_MASK_COMPUTE, inv.bit_count(), cond)
         for i in range(len(a)):
             sel_a = (a[i] & inv) | (b[i] & mask)
             sel_b = (a[i] & mask) | (b[i] & inv)
             if emit:
-                emit(OpKind.DELTA_COMPUTE, _hw(sel_a), cond)
-                emit(OpKind.DELTA_COMPUTE, _hw(sel_b), cond)
-                emit(OpKind.STORE_A, _hw(a[i] ^ sel_a), cond)
-                emit(OpKind.STORE_B, _hw(b[i] ^ sel_b), cond)
+                emit(OpKind.DELTA_COMPUTE, sel_a.bit_count(), cond)
+                emit(OpKind.DELTA_COMPUTE, sel_b.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ sel_a).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ sel_b).bit_count(), cond)
             a[i], b[i] = sel_a, sel_b
 
     elif kind is SwapKind.MASKED:
         mask = (-cond) & WORD_MASK
         if emit:
-            emit(OpKind.MASK_COMPUTE, _hw(mask), cond)
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
         for i in range(len(a)):
             r = rng.getrandbits(WORD_BITS)
             delta = ((a[i] ^ b[i]) & mask) ^ r
             na = (a[i] ^ delta) ^ r
             nb = (b[i] ^ delta) ^ r
             if emit:
-                emit(OpKind.DELTA_COMPUTE, _hw(delta), cond)
-                emit(OpKind.STORE_A, _hw(a[i] ^ na), cond)
-                emit(OpKind.STORE_B, _hw(b[i] ^ nb), cond)
+                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
             a[i], b[i] = na, nb
 
     else:  # SwapKind.COMBINED
@@ -168,7 +164,7 @@ def ct_swap(
             # The second share's selector resolves in a later stage, after
             # the word passes, so no short integration window ever sees
             # both shares at once.
-            emit(OpKind.MASK_COMPUTE, _hw((-share1) & WORD_MASK), cond)
+            emit(OpKind.MASK_COMPUTE, ((-share1) & WORD_MASK).bit_count(), cond)
         order = list(range(len(a)))
         rng.shuffle(order)
         new_a = list(a)
@@ -180,15 +176,15 @@ def ct_swap(
             blinded = ((a[i] ^ b[i]) if cond else 0) ^ r
             na, nb = (b[i], a[i]) if cond else (a[i], b[i])
             if emit:
-                emit(OpKind.DELTA_COMPUTE, _hw(blinded), cond)
+                emit(OpKind.DELTA_COMPUTE, blinded.bit_count(), cond)
                 # Write-back passes through a randomized representative, so
                 # the bus sees old vs fresh-random, not old vs new.
-                emit(OpKind.STORE_A, _hw(a[i] ^ rng.getrandbits(WORD_BITS)), cond)
-                emit(OpKind.STORE_B, _hw(b[i] ^ rng.getrandbits(WORD_BITS)), cond)
+                emit(OpKind.STORE_A, (a[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
             new_a[i], new_b[i] = na, nb
         a, b = new_a, new_b
         if emit:
-            emit(OpKind.MASK_COMPUTE, _hw((-share2) & WORD_MASK), cond)
+            emit(OpKind.MASK_COMPUTE, ((-share2) & WORD_MASK).bit_count(), cond)
 
     return WordArrayPair(a, b)
 

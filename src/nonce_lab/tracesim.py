@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 import struct
 
 import numpy as np
@@ -652,6 +653,33 @@ def write_trace_set(trace_set: TraceSet, path: Path | str) -> None:
                 writer.writerow((i, j, int(trace_set.labels[i, j]), flag))
 
 
+def check_file_size(fh: BinaryIO, declared: int, path: Path | str) -> None:
+    """Reject a binary file whose size is not the one its header declares.
+
+    Called before anything sized by the header is read or allocated, so
+    a corrupt count fails here instead of requesting a huge buffer.
+    """
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != declared:
+        raise DomainError(
+            f"{path} holds {actual} bytes but its header declares {declared}"
+        )
+
+
+def parse_meta(blob: bytes, path: Path | str) -> dict[str, str]:
+    """Decode a file's ``key=value`` meta block, one pair per line."""
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: meta block is not UTF-8 ({exc})") from None
+    meta: dict[str, str] = {}
+    for line in text.splitlines():
+        if line:
+            key, _, value = line.partition("=")
+            meta[key] = value
+    return meta
+
+
 def read_trace_set(path: Path | str) -> TraceSet:
     """Load a trace file and its label sidecar.
 
@@ -659,9 +687,10 @@ def read_trace_set(path: Path | str) -> TraceSet:
     marker table and ground truth comes from the label matrix.
     """
     path = Path(path)
+    header_size = struct.calcsize("<4sIdIII")
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIdIII"))
-        if len(header) != struct.calcsize("<4sIdIII"):
+        header = fh.read(header_size)
+        if len(header) != header_size:
             raise DomainError(f"{path} is truncated")
         magic, version, rate, count, width, meta_len = struct.unpack(
             "<4sIdIII", header
@@ -670,15 +699,9 @@ def read_trace_set(path: Path | str) -> TraceSet:
             raise DomainError(f"{path} is not a trace file (bad magic)")
         if version != TRACE_VERSION:
             raise DomainError(f"unsupported trace file version {version}")
-        meta: dict[str, str] = {}
-        if meta_len:
-            for line in fh.read(meta_len).decode().splitlines():
-                if line:
-                    key, _, value = line.partition("=")
-                    meta[key] = value
+        check_file_size(fh, header_size + meta_len + 4 * count * width, path)
+        meta = parse_meta(fh.read(meta_len), path)
         payload = np.frombuffer(fh.read(4 * count * width), dtype="<f4")
-        if payload.size != count * width:
-            raise DomainError(f"{path} is truncated")
     rows = payload.reshape(count, width).astype(np.float64)
 
     lengths = [width] * count

@@ -158,3 +158,36 @@ def greedy_peak_positions(corr, threshold, min_distance):
         if all(abs(position - p) >= min_distance for p in taken):
             taken.append(int(position))
     return sorted(taken)
+
+
+def scipy_bandpass(samples, sample_rate, center, bandwidth):
+    """48 dB Kaiser band-pass designed and applied by ``scipy.signal`` itself."""
+    from scipy import signal
+
+    transition = (bandwidth / 2.0) / (sample_rate / 2.0)
+    numtaps, beta = signal.kaiserord(48.0, transition)
+    numtaps |= 1
+    taps = signal.firwin(
+        numtaps,
+        (center - bandwidth / 2.0, center + bandwidth / 2.0),
+        window=("kaiser", beta),
+        pass_zero=False,
+        fs=sample_rate,
+    )
+    return signal.fftconvolve(samples, taps, mode="same")
+
+
+def scipy_normalized_xcorr(envelope, template):
+    """Per-window normalized cross-correlation over ``fftconvolve``'s valid part."""
+    from scipy import signal
+
+    t = template - template.mean()
+    width = template.size
+    numerator = signal.fftconvolve(envelope, t[::-1], mode="valid")
+    cumulative = np.concatenate(([0.0], np.cumsum(envelope)))
+    cumulative_sq = np.concatenate(([0.0], np.cumsum(envelope**2)))
+    window_sum = cumulative[width:] - cumulative[:-width]
+    window_sq = cumulative_sq[width:] - cumulative_sq[:-width]
+    variance = np.maximum(window_sq - window_sum**2 / width, 0.0)
+    denominator = np.sqrt(variance) * float(np.linalg.norm(t))
+    return numerator / np.maximum(denominator, 1e-12)

@@ -1,6 +1,7 @@
 """Tests for leakage assessment and template classification."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_model_file_rejects_corruption(tmp_path):
     truncated.write_bytes(blob[:-8])
     with pytest.raises(DomainError):
         read_model(truncated)
+
+
+def test_model_file_rejects_bad_meta_and_oversized_header(tmp_path):
+    x, y = blob_data()
+    model = fit_templates(x, y, [0, 1])
+    model.trained_on["median_samples"] = "4"
+    path = tmp_path / "model.sctm"
+    write_model(model, path)
+    blob = bytearray(path.read_bytes())
+    header_size = struct.calcsize("<4sIBII")
+    blob[header_size] = 0xFF
+    path.write_bytes(blob)
+    with pytest.raises(DomainError, match="UTF-8"):
+        read_model(path)
+    # A full model over 2**32 - 1 points would need about 2**67 bytes.
+    path.write_bytes(struct.pack("<4sIBII", b"SCTM", 1, 1, 2**32 - 1, 0) + bytes(8))
+    with pytest.raises(DomainError, match="header declares"):
+        read_model(path)
 
 
 def test_export_t_csv_is_deterministic(tmp_path):

@@ -1,16 +1,44 @@
 """Command-line behavior: config resolution, artifacts, determinism."""
 
 import json
+import os
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nonce_lab
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
+from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    src = str(Path(nonce_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import sys, nonce_lab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def write_config(path, **values):
@@ -121,6 +149,14 @@ class TestKeySignVerify:
         ) == 2
         assert "INVALID" in capsys.readouterr().out
 
+    def test_bad_hex_key_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "k.txt").write_text("d=zz\n")
+        assert run_cli(
+            "sign", "--key", tmp_path / "k.txt", "--curve", "toy16",
+            "--out", tmp_path / "sg",
+        ) == 1
+        assert_one_error_line(capsys, "input")
+
     def test_keygen_is_deterministic(self, tmp_path, toy):
         for name in ("a", "b"):
             run_cli("keygen", "--curve", "toy16", "--seed", 8, "--out", tmp_path / name)
@@ -171,6 +207,22 @@ class TestSimulatePipeline:
             assert (tmp_path / "one" / artifact).read_bytes() == (
                 tmp_path / "two" / artifact
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "count, width, meta",
+        [(1, 1, b"\xffx=1\n"), (2**32 - 1, 2**32 - 1, b"")],
+        ids=["non-utf8-meta", "header-beyond-file-size"],
+    )
+    def test_corrupt_trace_file_is_input_error(
+        self, tmp_path, capsys, count, width, meta
+    ):
+        path = tmp_path / "bad.trc"
+        header = struct.pack(
+            "<4sIdIII", TRACE_MAGIC, TRACE_VERSION, 2.5e6, count, width, len(meta)
+        )
+        path.write_bytes(header + meta + bytes(4))
+        assert run_cli("assess", "--traces", path, "--out", tmp_path / "o") == 1
+        assert_one_error_line(capsys, "input")
 
     def test_missing_traces_file_is_io_error(self, tmp_path, capsys):
         assert run_cli(
@@ -276,6 +328,23 @@ class TestRecoverCommand:
             "--leak-bits", 1, "--curve", "toy16", "--out", tmp_path / "rec",
         ) == 2
         assert "error: recovery:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_file", ["signatures", "known"])
+    def test_bad_hex_field_is_input_error(self, tmp_path, toy, capsys, bad_file):
+        rng = random.Random(14)
+        key = keygen(toy, rng)
+        write_private_key(tmp_path / "key.txt", key)
+        sig, nonce = sign(55, key, rng)
+        write_signatures(tmp_path / "signatures", [sig])
+        (tmp_path / "known").write_text(f"a={nonce.k.value % 16:x}\n")
+        text = (tmp_path / bad_file).read_text()
+        (tmp_path / bad_file).write_text(text.replace("=", "=zz", 1))
+        assert run_cli(
+            "recover", "--signatures", tmp_path / "signatures",
+            "--known", tmp_path / "known", "--key", tmp_path / "key.txt",
+            "--leak-bits", 4, "--curve", "toy16", "--out", tmp_path / "rec",
+        ) == 1
+        assert_one_error_line(capsys, "input")
 
     def test_leak_bits_required(self, tmp_path, toy, capsys):
         rng = random.Random(13)

@@ -5,6 +5,9 @@ import pytest
 
 from nonce_lab.dsp import (
     FilterSpec,
+    _kaiser_bandpass,
+    _kaiserord,
+    _normalized_xcorr,
     _peak_positions,
     align_swaps,
     bandpass,
@@ -33,7 +36,7 @@ from nonce_lab.tracesim import (
     swap_windows,
     synthesize,
 )
-from oracles import greedy_peak_positions
+from oracles import greedy_peak_positions, scipy_bandpass, scipy_normalized_xcorr
 
 CENTER = SimConfig().f_mod
 
@@ -106,6 +109,33 @@ def test_bandpass_of_silence_is_silence():
     spec = FilterSpec(center=CENTER, bandwidth=0.5 * CENTER)
     out = bandpass(array_trace(np.zeros(4096)), spec)
     assert np.all(out.samples == 0.0)
+
+
+@pytest.mark.parametrize("relative_bandwidth", [0.25, 0.5, 1.0])
+def test_ported_filter_matches_scipy_signal(relative_bandwidth):
+    from scipy import signal
+
+    bandwidth = relative_bandwidth * CENTER
+    fs = 2.5e6
+    transition = (bandwidth / 2.0) / (fs / 2.0)
+    # Ripples on both sides of each Kaiser beta breakpoint (21 and 50 dB).
+    for ripple in (15.0, 30.0, 48.0, 60.0):
+        assert _kaiserord(ripple, transition) == signal.kaiserord(ripple, transition)
+    numtaps, beta = _kaiserord(48.0, transition)
+    numtaps |= 1
+    band = (CENTER - bandwidth / 2.0, CENTER + bandwidth / 2.0)
+    taps = signal.firwin(numtaps, band, window=("kaiser", beta), pass_zero=False, fs=fs)
+    assert _kaiser_bandpass(numtaps, band, beta, fs).tobytes() == taps.tobytes()
+
+    noise = np.random.default_rng(numtaps).normal(size=8192)
+    filtered = bandpass(array_trace(noise, fs), FilterSpec(CENTER, bandwidth)).samples
+    assert filtered.tobytes() == scipy_bandpass(noise, fs, CENTER, bandwidth).tobytes()
+    envelope = rectified_envelope(filtered, 16)
+    template = envelope[1000 : 1000 + numtaps]
+    assert (
+        _normalized_xcorr(envelope, template).tobytes()
+        == scipy_normalized_xcorr(envelope, template).tobytes()
+    )
 
 
 def test_rectify_median_keeps_constants():

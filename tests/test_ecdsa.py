@@ -203,3 +203,11 @@ def test_malformed_files_raise(tmp_path, toy):
     bad.write_text("j=5\n")
     with pytest.raises(DomainError):
         read_nonces(bad, toy)
+    for text, reader in (
+        ("d=zz\n", lambda: read_private_key(bad, toy)),
+        ("r=1 s=zz z=3\n", lambda: read_signatures(bad)),
+        ("k=zz\n", lambda: read_nonces(bad, toy)),
+    ):
+        bad.write_text(text)
+        with pytest.raises(DomainError, match="not a hex integer"):
+            reader()

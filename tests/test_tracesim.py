@@ -1,5 +1,6 @@
 """Waveform synthesis checks: envelopes, markers, files, determinism."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -434,3 +435,21 @@ def test_trace_file_rejects_garbage(tmp_path):
     short.write_bytes(b"SCTR\x01")
     with pytest.raises(DomainError):
         read_trace_set(short)
+
+
+def test_trace_file_rejects_bad_meta_and_oversized_header(tmp_path, toy):
+    path = tmp_path / "t.sctr"
+    write_trace_set(generate_training_set(toy, SwapKind.PLAIN, 1, quiet_cfg()), path)
+    blob = bytearray(path.read_bytes())
+    header_size = struct.calcsize("<4sIdIII")
+    blob[header_size] = 0xFF
+    path.write_bytes(blob)
+    with pytest.raises(DomainError, match="UTF-8"):
+        read_trace_set(path)
+    # count = width = 2**32 - 1 declares about 2**66 payload bytes; the
+    # size check against the 32-byte file must reject it unread.
+    path.write_bytes(
+        struct.pack("<4sIdIII", b"SCTR", 1, 2.5e6, 2**32 - 1, 2**32 - 1, 0) + bytes(4)
+    )
+    with pytest.raises(DomainError, match="header declares"):
+        read_trace_set(path)
