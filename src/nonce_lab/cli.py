@@ -614,7 +614,7 @@ def cmd_experiment(rc: RunConfig, args: argparse.Namespace) -> int:
                     )
                 )
     results = _run_chunks(run_experiment, cells, rc.jobs)
-    write_results_csv(results, out / "results.csv", include_timing=False)
+    write_results_csv(results, out / "results.csv")
     with open(out / "timing.txt", "w") as fh:
         for res in results:
             cfg = res.config

@@ -1,9 +1,9 @@
 """Signal chain for turning raw waveforms into per-swap sample spans.
 
 The stages mirror a capture workflow: bandpass around the activity
-carrier, rectify and median-smooth into an envelope, optionally inspect
-with an STFT, then matched-filter the envelope against the ladder-step
-fingerprint to locate every scalar-multiplication iteration.  The gaps
+carrier, rectify and median-smooth into an envelope, then matched-filter
+the envelope against the ladder-step fingerprint to locate every
+scalar-multiplication iteration.  The gaps
 between consecutive iterations are exactly the conditional swaps.
 
 The Kaiser band-pass design and the FFT convolution are small ports of
@@ -49,11 +49,8 @@ class FilterSpec:
 
     center: float
     bandwidth: float
-    kind: str = "bandpass"
 
     def __post_init__(self) -> None:
-        if self.kind != "bandpass":
-            raise ConfigError(f"unsupported filter kind {self.kind!r}")
         if self.center <= 0.0 or self.bandwidth <= 0.0:
             raise ConfigError("center and bandwidth must be positive")
         if self.center - self.bandwidth / 2.0 <= 0.0:
@@ -191,38 +188,6 @@ def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
     return ndimage.median_filter(
         np.abs(samples), size=window_samples, mode="reflect"
     )
-
-
-def rectify_median(trace: LeakageTrace, window_seconds: float) -> LeakageTrace:
-    """Envelope of a trace: pointwise magnitude, then sliding median."""
-    window_samples = int(round(window_seconds * trace.sample_rate))
-    return LeakageTrace(
-        samples=rectified_envelope(trace.samples, window_samples),
-        sample_rate=trace.sample_rate,
-        markers=trace.markers,
-        meta=dict(trace.meta),
-    )
-
-
-def stft(
-    trace: LeakageTrace | np.ndarray, window_samples: int, hop: int
-) -> np.ndarray:
-    """Rectangular-window short-time Fourier magnitude grid.
-
-    Rows are frames, columns the one-sided frequency bins; the grid has
-    ``floor((N - window) / hop) + 1`` rows and ``window // 2 + 1``
-    columns.
-    """
-    x = trace.samples if isinstance(trace, LeakageTrace) else np.asarray(trace)
-    x = x.astype(np.float64)
-    if window_samples < 8:
-        raise ConfigError("stft window must cover at least 8 samples")
-    if hop < 1:
-        raise ConfigError("stft hop must be at least 1")
-    if window_samples > x.size:
-        raise ConfigError("stft window exceeds the input length")
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop]
-    return np.abs(np.fft.rfft(frames, axis=1))
 
 
 def _pattern_template(
@@ -528,79 +493,6 @@ def align_swaps(
         confidence=tuple(float(corr[p]) for p in positions),
         detected_pattern_positions=tuple(positions),
     )
-
-
-def step_peak_groups(
-    envelope: np.ndarray, samples_per_event: int
-) -> list[int]:
-    """Multiplicities of the arithmetic peak groups in a step envelope.
-
-    Thresholds the envelope halfway between its extremes and sizes each
-    above-threshold run in units of one full event, so a clean ladder
-    step decodes to its characteristic group pattern.
-    """
-    envelope = np.asarray(envelope, dtype=np.float64)
-    if envelope.size == 0:
-        raise DomainError("empty envelope")
-    threshold = (envelope.max() + envelope.min()) / 2.0
-    above = np.concatenate(
-        ([0], (envelope > threshold).astype(np.int8), [0])
-    )
-    edges = np.flatnonzero(np.diff(above))
-    return [
-        round((b - a) / samples_per_event + 0.25)
-        for a, b in zip(edges[::2], edges[1::2])
-    ]
-
-
-def detect_schedule(
-    trace: LeakageTrace,
-    known_frequencies: Sequence[float],
-    cfg: SimConfig | None = None,
-    *,
-    curve: CurveParams | None = None,
-    multiplier: str = "ladder",
-    threshold: float = 0.6,
-) -> tuple[float, bool]:
-    """Identify which candidate clock produced a trace.
-
-    For each candidate the trace is bandpassed around the corresponding
-    carrier and the envelope is matched against the iteration
-    fingerprint; the candidate with the strongest match wins, and
-    ``match`` reports whether it clears the confidence threshold.
-    """
-    if not known_frequencies:
-        raise ConfigError("known_frequencies must not be empty")
-    if cfg is None:
-        cfg = SimConfig()
-    if curve is None:
-        from .ff_curve import get_curve
-
-        curve = get_curve("toy16")
-    ratio = cfg.mod_ratio.numerator / cfg.mod_ratio.denominator
-    best_frequency = float(known_frequencies[0])
-    best_score = -np.inf
-    for f_cpu in known_frequencies:
-        f_mod = f_cpu * ratio
-        # Narrow enough that neighbouring candidates' carriers fall in
-        # the stopband (candidates closer than a 1.4 ratio are not
-        # distinguishable this way).
-        spec = FilterSpec(center=f_mod, bandwidth=0.5 * f_mod)
-        try:
-            candidate_cfg = dataclasses.replace(cfg, f_cpu=float(f_cpu))
-            filtered = bandpass(trace, spec)
-            template = _pattern_template(curve, candidate_cfg, multiplier, spec)
-        except ConfigError:
-            continue
-        envelope = rectified_envelope(
-            filtered.samples, max(3, cfg.samples_per_event // 4)
-        )
-        if template.size > envelope.size:
-            continue
-        score = float(_normalized_xcorr(envelope, template).max())
-        if score > best_score:
-            best_frequency, best_score = float(f_cpu), score
-    return best_frequency, bool(best_score >= threshold)
 
 
 def write_windows_csv(aligned: AlignedSwapWindows, path: Path | str) -> None:

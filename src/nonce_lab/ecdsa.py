@@ -197,20 +197,3 @@ def read_signatures(path: str | Path) -> list[Signature]:
             raise DomainError(f"{path}:{lineno}: expected 'r= s= z=', got {raw!r}")
         sigs.append(Signature(*(parse_hex(parts[f], f"{path}:{lineno}") for f in "rsz")))
     return sigs
-
-
-def write_nonces(path: str | Path, records: list[NonceRecord]) -> None:
-    lines = [f"k={rec.k.value:x}" for rec in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_nonces(path: str | Path, curve: CurveParams) -> list[Scalar]:
-    out: list[Scalar] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("k="):
-            raise DomainError(f"{path}:{lineno}: expected 'k=<hex>', got {raw!r}")
-        out.append(Scalar.for_curve(parse_hex(line[2:], f"{path}:{lineno}"), curve))
-    return out

@@ -12,8 +12,8 @@ conditional swap supplied by the caller:
 * ``double_and_always_add``: doubles and adds every iteration, then swaps
   the result register with the throwaway register under condition ``k_i``.
 
-When given an EventRecorder, the multipliers and the point operations emit
-one event per field operation (with the Hamming weight of the result) plus
+When given an EventRecorder, the multipliers and ``ladder_step`` emit one
+event per field operation (with the Hamming weight of the result) plus
 whatever the swap implementation emits; the simulator turns that stream into
 sampled traces. Without a recorder both multipliers hand the work to one
 untraced core (``fast_multiply``): Jacobian coordinates, width-w NAF for an
@@ -32,7 +32,6 @@ Field elements stay in ``[0, p)``. Moduli shaped like ``2**k - c`` with small
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError, DomainError, NonInvertible
@@ -86,15 +85,6 @@ class Field:
         """Return the function reducing any integer into ``[0, p)``."""
         return self._red
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def inv(self, value: int) -> int:
-        v = value % self.p
-        if v == 0:
-            raise NonInvertible("zero has no inverse")
-        return inverse_mod(v, self.p)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.p == self.p
 
@@ -103,85 +93,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p:#x})"
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """An element of F_p, always stored reduced to ``[0, p)``."""
-
-    value: int
-    field: Field
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.p:
-            raise DomainError(f"value {self.value} outside [0, {self.field.p})")
-
-    def _join(self, other: "FieldElement") -> Field:
-        if not isinstance(other, FieldElement):
-            raise DomainError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise DomainError("operands belong to different fields")
-        return self.field
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        f = self._join(other)
-        s = self.value + other.value
-        if s >= f.p:
-            s -= f.p
-        return FieldElement(s, f)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        f = self._join(other)
-        d = self.value - other.value
-        if d < 0:
-            d += f.p
-        return FieldElement(d, f)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        f = self._join(other)
-        return FieldElement(self.value * other.value % f.p, f)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def square(self) -> "FieldElement":
-        return FieldElement(self.value * self.value % self.field.p, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def shift_left(self, bits: int) -> "FieldElement":
-        if bits < 0:
-            raise DomainError(f"negative shift {bits}")
-        return FieldElement((self.value << bits) % self.field.p, self.field)
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value:#x})"
-
-
-_FIELD_OPS = {"add", "sub", "mul", "square", "inv", "shl"}
-
-
-def field_op(kind: str, *operands) -> FieldElement:
-    """Apply a named field operation.
-
-    ``add``/``sub``/``mul`` take two elements, ``square``/``inv`` one, and
-    ``shl`` takes an element plus a plain int shift amount. Mixing fields
-    raises DomainError; inverting zero raises NonInvertible.
-    """
-    if kind not in _FIELD_OPS:
-        raise ConfigError(f"unknown field op {kind!r}")
-    if kind in ("add", "sub", "mul"):
-        a, b = operands
-        return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__}[kind](b)
-    if kind == "square":
-        (a,) = operands
-        return a.square()
-    if kind == "inv":
-        (a,) = operands
-        return a.inverse()
-    a, bits = operands
-    return a.shift_left(bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,50 +203,54 @@ def _triple_eq(P: tuple[int, int, int], Q: tuple[int, int, int], p: int) -> bool
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ProjectivePoint:
-    """Homogeneous projective point (X : Y : Z); Z == 0 is the neutral element.
+    """Homogeneous projective point (X : Y : Z) over ``field``, each
+    coordinate an int in ``[0, p)``; Z == 0 is the neutral element.
 
     Equality is projective: two points compare equal when their cross
     products agree, regardless of representative.
     """
 
-    X: FieldElement
-    Y: FieldElement
-    Z: FieldElement
+    X: int
+    Y: int
+    Z: int
+    field: Field
 
     def __post_init__(self) -> None:
-        self.X._join(self.Y)
-        self.Y._join(self.Z)
-        if self.Z.value == 0 and self.X.value == 0 and self.Y.value == 0:
+        p = self.field.p
+        if not (0 <= self.X < p and 0 <= self.Y < p and 0 <= self.Z < p):
+            raise DomainError(f"coordinates {self.triple()} outside [0, {p})")
+        if self.X == self.Y == self.Z == 0:
             raise DomainError("(0 : 0 : 0) is not a point")
 
     @classmethod
     def neutral(cls, field: Field) -> "ProjectivePoint":
-        return cls(field.element(0), field.element(1), field.element(0))
+        return cls(0, 1, 0, field)
 
     @classmethod
     def from_affine(cls, x: int, y: int, field: Field) -> "ProjectivePoint":
-        return cls(field.element(x), field.element(y), field.element(1))
+        return cls(x % field.p, y % field.p, 1, field)
 
     @property
     def is_neutral(self) -> bool:
-        return self.Z.value == 0
+        return self.Z == 0
 
     def triple(self) -> tuple[int, int, int]:
-        return (self.X.value, self.Y.value, self.Z.value)
+        return (self.X, self.Y, self.Z)
 
     def to_affine(self) -> tuple[int, int] | None:
         """Affine (x, y), or None for the neutral element."""
         if self.is_neutral:
             return None
-        zi = self.Z.inverse()
-        return ((self.X * zi).value, (self.Y * zi).value)
+        p = self.field.p
+        zi = inverse_mod(self.Z, p)
+        return (self.X * zi % p, self.Y * zi % p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        if self.X.field.p != other.X.field.p:
+        if self.field.p != other.field.p:
             return False
-        return _triple_eq(self.triple(), other.triple(), self.X.field.p)
+        return _triple_eq(self.triple(), other.triple(), self.field.p)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -528,45 +443,12 @@ def _step_body(s, r, x_base, a, b, mul, sq, add, sub, shl):
     return (X1n, Z1n), (X2n, Z2n)
 
 
-def point_add(
-    P: ProjectivePoint,
-    Q: ProjectivePoint,
-    curve: CurveParams,
-    recorder: EventRecorder | None = None,
-    validate: bool = True,
-) -> ProjectivePoint:
-    """Complete projective addition P + Q."""
-    if validate:
-        for pt in (P, Q):
-            if not point_on_curve(pt, curve):
-                raise DomainError("operand is not on the curve")
-    ops = _make_ops(curve.field, recorder)
-    x, y, z = _add_body(P.triple(), Q.triple(), curve.a, 3 * curve.b % curve.p, *ops[:4])
-    f = curve.field
-    return ProjectivePoint(FieldElement(x, f), FieldElement(y, f), FieldElement(z, f))
-
-
-def point_double(
-    P: ProjectivePoint,
-    curve: CurveParams,
-    recorder: EventRecorder | None = None,
-    validate: bool = True,
-) -> ProjectivePoint:
-    """Complete projective doubling 2P."""
-    if validate and not point_on_curve(P, curve):
-        raise DomainError("operand is not on the curve")
-    ops = _make_ops(curve.field, recorder)
-    x, y, z = _dbl_body(P.triple(), curve.a, 3 * curve.b % curve.p, *ops[:4])
-    f = curve.field
-    return ProjectivePoint(FieldElement(x, f), FieldElement(y, f), FieldElement(z, f))
-
-
 def _xz(P: ProjectivePoint) -> tuple[int, int]:
     # On the x-line the neutral element is (c : 0) with c != 0; the full
     # projective neutral (0 : 1 : 0) would degenerate to the invalid (0, 0).
-    if P.Z.value == 0:
+    if P.Z == 0:
         return (1, 0)
-    return (P.X.value, P.Z.value)
+    return (P.X, P.Z)
 
 
 def _ladder_state_consistent(s: tuple[int, int], r: tuple[int, int], base: tuple[int, int], curve: CurveParams) -> bool:
@@ -613,7 +495,6 @@ def ladder_step(
     base: tuple[int, int],
     curve: CurveParams,
     recorder: EventRecorder | None = None,
-    validate: bool = True,
 ) -> tuple[ProjectivePoint, ProjectivePoint]:
     """Advance a ladder state: returns (r + s, 2r).
 
@@ -621,20 +502,17 @@ def ladder_step(
     participate; the returned points carry the inputs' Y values unchanged
     (they are meaningless mid-ladder and repaired by y-recovery at the end).
     """
-    if validate:
-        yb2 = (base[1] * base[1] - (base[0] ** 3 + curve.a * base[0] + curve.b)) % curve.p
-        if yb2 != 0:
-            raise DomainError("base point is not on the curve")
-        if not _ladder_state_consistent(_xz(s), _xz(r), base, curve):
-            raise DomainError("ladder state does not differ by the base point")
+    yb2 = (base[1] * base[1] - (base[0] ** 3 + curve.a * base[0] + curve.b)) % curve.p
+    if yb2 != 0:
+        raise DomainError("base point is not on the curve")
+    if not _ladder_state_consistent(_xz(s), _xz(r), base, curve):
+        raise DomainError("ladder state does not differ by the base point")
     mul, sq, add, sub, shl = _make_ops(curve.field, recorder)
     (sx, sz), (rx, rz) = _step_body(
         _xz(s), _xz(r), base[0] % curve.p, curve.a, curve.b, mul, sq, add, sub, shl
     )
     f = curve.field
-    s_out = ProjectivePoint(FieldElement(sx, f), s.Y, FieldElement(sz, f))
-    r_out = ProjectivePoint(FieldElement(rx, f), r.Y, FieldElement(rz, f))
-    return s_out, r_out
+    return ProjectivePoint(sx, s.Y, sz, f), ProjectivePoint(rx, r.Y, rz, f)
 
 
 def _recover_y(base: tuple[int, int], R0: tuple[int, int], R1: tuple[int, int], curve: CurveParams) -> tuple[int, int] | None:
@@ -1007,8 +885,7 @@ def double_and_always_add(
         swapped = swap_impls.ct_swap(swap_impl, pair, k.bit(i), recorder)
         R = _words_triple(swapped.a, wc)
         T = _words_triple(swapped.b, wc)
-    f = curve.field
-    return ProjectivePoint(FieldElement(R[0], f), FieldElement(R[1], f), FieldElement(R[2], f))
+    return ProjectivePoint(*R, curve.field)
 
 
 def reference_multiply(k: int, point: ProjectivePoint, curve: CurveParams) -> ProjectivePoint:
@@ -1059,60 +936,11 @@ def reference_multiply(k: int, point: ProjectivePoint, curve: CurveParams) -> Pr
             X1 = red(t3 * X3 - t5 * t4)
             Y1 = red(X3 * Z3 + t1 * t4)
             Z1 = red(t5 * Z3 + t3 * t1)
-    f = curve.field
-    return ProjectivePoint(FieldElement(X1, f), FieldElement(Y1, f), FieldElement(Z1, f))
+    return ProjectivePoint(X1, Y1, Z1, curve.field)
 
 
 # ---------------------------------------------------------------------------
-# Curve registry and file format.
-
-_CURVE_KEYS = ("name", "p", "a", "b", "gx", "gy", "n", "word_count")
-
-
-def load_curve(path: str | Path) -> CurveParams:
-    """Load curve parameters from a key=value text file.
-
-    Numeric fields are hex (an optional 0x prefix is fine); blank lines and
-    ``#`` comments are ignored. Required keys: name, p, a, b, gx, gy, n,
-    word_count. An optional flag_words key is honored.
-    """
-    text = Path(path).read_text()
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _CURVE_KEYS and key != "flag_words":
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in fields:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
-    missing = [k for k in _CURVE_KEYS if k not in fields]
-    if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
-
-    def num(key: str) -> int:
-        try:
-            return int(fields[key], 16)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: field {key!r} is not a hex integer") from exc
-
-    return CurveParams(
-        name=fields["name"],
-        p=num("p"),
-        a=num("a"),
-        b=num("b"),
-        gx=num("gx"),
-        gy=num("gy"),
-        n=num("n"),
-        word_count=num("word_count"),
-        flag_words=num("flag_words") if "flag_words" in fields else 0,
-    )
-
+# Curve registry.
 
 def _build_curves() -> dict[str, CurveParams]:
     p521 = (1 << 521) - 1
@@ -1169,9 +997,6 @@ def _build_curves() -> dict[str, CurveParams]:
 
 _BUILTIN_CACHE: dict[str, CurveParams] = {}
 
-BUILTIN_CURVE_NAMES = ("secp521r1", "secp128r1", "wei25519", "toy16")
-
-
 def builtin_curves() -> dict[str, CurveParams]:
     """The built-in curve registry (constructed and validated on first use)."""
     if not _BUILTIN_CACHE:
@@ -1185,5 +1010,5 @@ def get_curve(name: str) -> CurveParams:
         return builtin_curves()[name]
     except KeyError:
         raise ConfigError(
-            f"unknown curve {name!r}; built-ins: {sorted(BUILTIN_CURVE_NAMES)}"
+            f"unknown curve {name!r}; built-ins: {sorted(builtin_curves())}"
         ) from None

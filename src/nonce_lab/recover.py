@@ -528,39 +528,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def run_grid(
-    cells: Sequence[ExperimentConfig],
-) -> list[ExperimentResult]:
-    """Run every grid cell in order."""
-    return [run_experiment(cfg) for cfg in cells]
-
-
 def write_results_csv(
     results: Sequence[ExperimentResult],
     path: Path | str,
-    *,
-    include_timing: bool = True,
 ) -> None:
     """Success-rate rows in the shape behind a success-vs-error plot.
 
-    ``include_timing=False`` drops the wall-clock column, leaving only
-    seed-determined values; repeated runs then produce identical bytes.
+    Only seed-determined values are written, so repeated runs produce
+    identical bytes; wall-clock times belong in ``timing.txt``.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["leak_bits", "signatures", "error_rate", "trials", "successes"]
-        if include_timing:
-            header.append("mean_seconds")
-        writer.writerow(header)
+        writer.writerow(("leak_bits", "signatures", "error_rate", "trials", "successes"))
         for res in results:
             cfg = res.config
-            row = [
+            writer.writerow((
                 cfg.leak_bits,
                 cfg.signature_count,
                 f"{cfg.error_rate:.6g}",
                 cfg.trials,
                 res.successes,
-            ]
-            if include_timing:
-                row.append(f"{res.mean_seconds:.6f}")
-            writer.writerow(row)
+            ))

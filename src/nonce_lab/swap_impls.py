@@ -27,11 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from fractions import Fraction
 
 from .errors import DomainError
 from .events import EventRecorder, OpKind, WORD_BITS
-from .ff_curve import CurveParams, FieldElement, ProjectivePoint
 
 WORD_MASK = (1 << WORD_BITS) - 1
 
@@ -187,56 +185,3 @@ def ct_swap(
             emit(OpKind.MASK_COMPUTE, ((-share2) & WORD_MASK).bit_count(), cond)
 
     return WordArrayPair(a, b)
-
-
-def rerandomize_coords(
-    point: ProjectivePoint,
-    curve: CurveParams,
-    rng: random.Random,
-    recorder: EventRecorder | None = None,
-) -> ProjectivePoint:
-    """Replace a point's projective representative with a random one.
-
-    Scales all three coordinates by a uniform nonzero field element. The
-    neutral element has no nonzero coordinates to hide and is rejected.
-    """
-    if point.is_neutral:
-        raise DomainError("cannot rerandomize the neutral element")
-    lam = rng.randrange(1, curve.p)
-    f = curve.field
-    red = f.reducer()
-    coords = tuple(red(c * lam) for c in point.triple())
-    if recorder is not None:
-        for c in coords:
-            recorder.emit(OpKind.RERANDOMIZE, c.bit_count())
-    x, y, z = coords
-    return ProjectivePoint(FieldElement(x, f), FieldElement(y, f), FieldElement(z, f))
-
-
-def expected_leak_delta(variant: SwapKind, word_count: int) -> Fraction:
-    """Expected difference in total leak between cond=1 and cond=0 swaps.
-
-    Computed over uniformly random word arrays of the given length. Word
-    operations leak the Hamming weight (expected 32 for a uniform word) or
-    the Hamming distance of a write (0 when nothing changes, expected 32
-    between independent uniform words).
-    """
-    if not isinstance(variant, SwapKind):
-        raise DomainError(f"variant must be a SwapKind, got {variant!r}")
-    if word_count < 1:
-        raise DomainError(f"word_count must be positive, got {word_count}")
-    w = Fraction(word_count)
-    half = Fraction(WORD_BITS, 2)
-    full = Fraction(WORD_BITS)
-    if variant is SwapKind.PLAIN:
-        # cond=1: mask 64 + per word (delta 32 + two stores 32 each); cond=0: all zero.
-        return full + w * 3 * half
-    if variant is SwapKind.LIBGCRYPT:
-        # Mask pair totals 64 either way; selects average 32 either way;
-        # only the stores differ (0 vs 32 each).
-        return w * 2 * half
-    if variant is SwapKind.MASKED:
-        # Deltas are blinded to expected 32 both ways; mask (0 vs 64) and
-        # stores (0 vs 32 each) still differ.
-        return full + w * 2 * half
-    return Fraction(0)

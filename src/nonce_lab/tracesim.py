@@ -706,7 +706,10 @@ def read_trace_set(path: Path | str) -> TraceSet:
 
     lengths = [width] * count
     if "trace_lengths" in meta:
-        lengths = [int(v) for v in meta["trace_lengths"].split(",")]
+        try:
+            lengths = [int(v) for v in meta["trace_lengths"].split(",")]
+        except ValueError:
+            raise DomainError(f"{path}: trace_lengths meta is not integers") from None
         if len(lengths) != count or any(not 0 < n <= width for n in lengths):
             raise DomainError("trace_lengths meta disagrees with the payload")
     traces = [
@@ -729,9 +732,10 @@ def read_trace_set(path: Path | str) -> TraceSet:
         if header_row != ["trace_index", "swap_index", "cond", "interfered"]:
             raise DomainError(f"{sidecar} has an unexpected header")
         for row in reader:
-            if len(row) != 4:
-                raise DomainError(f"{sidecar} has a malformed row: {row!r}")
-            i, j, cond, flag = (int(v) for v in row)
+            try:
+                i, j, cond, flag = (int(v) for v in row)
+            except ValueError:
+                raise DomainError(f"{sidecar} has a malformed row: {row!r}") from None
             cells[(i, j)] = (cond, flag)
     if not cells:
         return TraceSet(traces, np.zeros((count, 0), dtype=np.int8))

@@ -8,8 +8,11 @@ code shared with the implementations under test.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
+
+from nonce_lab.swap_impls import SwapKind
 
 
 def affine_add(P, Q, p, a):
@@ -140,6 +143,45 @@ def measured_leak_delta(run, word_count, samples, seed):
         for cond in (0, 1):
             totals[cond] += run(a, b, cond)
     return (totals[1] - totals[0]) / samples
+
+
+def expected_leak_delta(variant, word_count):
+    """Closed form of ``measured_leak_delta`` for ``ct_swap`` on ``variant``.
+
+    Over uniformly random word arrays a Hamming weight averages 32 whatever
+    the condition, and a write leaks its Hamming distance: 0 when nothing
+    changes, 32 on average between independent words.
+    """
+    w = Fraction(word_count)
+    if variant is SwapKind.PLAIN:
+        # cond=1: mask 64 + per word (delta 32 + two stores 32 each); cond=0: all zero.
+        return 64 + w * 3 * 32
+    if variant is SwapKind.LIBGCRYPT:
+        # Mask pair totals 64 either way; selects average 32 either way;
+        # only the stores differ (0 vs 32 each).
+        return w * 2 * 32
+    if variant is SwapKind.MASKED:
+        # Deltas are blinded to expected 32 both ways; mask (0 vs 64) and
+        # stores (0 vs 32 each) still differ.
+        return 64 + w * 2 * 32
+    return Fraction(0)
+
+
+def step_peak_groups(envelope, samples_per_event):
+    """Multiplicities of the arithmetic peak groups in a step envelope.
+
+    Thresholds the envelope halfway between its extremes and sizes each
+    above-threshold run in units of one full event, so a clean ladder step
+    decodes to its characteristic group pattern.
+    """
+    envelope = np.asarray(envelope, dtype=np.float64)
+    threshold = (envelope.max() + envelope.min()) / 2.0
+    above = np.concatenate(([0], (envelope > threshold).astype(np.int8), [0]))
+    edges = np.flatnonzero(np.diff(above))
+    return [
+        round((b - a) / samples_per_event + 0.25)
+        for a, b in zip(edges[::2], edges[1::2])
+    ]
 
 
 def greedy_peak_positions(corr, threshold, min_distance):

@@ -25,7 +25,7 @@ from nonce_lab.analysis import (
     welch_t,
 )
 from nonce_lab.cli import main
-from nonce_lab.dsp import align_swaps, rectified_envelope, step_peak_groups
+from nonce_lab.dsp import align_swaps, rectified_envelope
 from nonce_lab.ecdsa import keygen, recover_private_key, sign, verify
 from nonce_lab.events import EventRecorder, OpKind
 from nonce_lab.ff_curve import (
@@ -36,7 +36,6 @@ from nonce_lab.ff_curve import (
     get_curve,
     ladder_step,
     montgomery_ladder,
-    point_double,
     reference_multiply,
 )
 from nonce_lab.recover import ExperimentConfig, run_experiment
@@ -49,6 +48,8 @@ from nonce_lab.tracesim import (
     swap_windows,
     synthesize,
 )
+
+from oracles import step_peak_groups
 
 LEAK_THRESHOLD = 4.5
 
@@ -135,7 +136,7 @@ def test_ladder_step_fingerprint_is_detected():
         assert groups == pattern
 
     recorder = EventRecorder()
-    ladder_step(base, point_double(base, toy), toy.generator, toy, recorder=recorder)
+    ladder_step(base, reference_multiply(2, base, toy), toy.generator, toy, recorder=recorder)
     cfg = SimConfig(noise_sigma=0.0)
     step_trace = synthesize(recorder, cfg)
     envelope = rectified_envelope(step_trace.samples, max(3, cfg.samples_per_event // 4))

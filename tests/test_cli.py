@@ -13,7 +13,7 @@ import pytest
 import nonce_lab
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
-from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION
+from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path
 
 
 def run_cli(*argv):
@@ -209,18 +209,30 @@ class TestSimulatePipeline:
             ).read_bytes()
 
     @pytest.mark.parametrize(
-        "count, width, meta",
-        [(1, 1, b"\xffx=1\n"), (2**32 - 1, 2**32 - 1, b"")],
-        ids=["non-utf8-meta", "header-beyond-file-size"],
+        "count, width, meta, labels",
+        [
+            (1, 1, b"\xffx=1\n", None),
+            (2**32 - 1, 2**32 - 1, b"", None),
+            (1, 1, b"trace_lengths=zz\n", None),
+            (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,0,zz,0\n"),
+        ],
+        ids=[
+            "non-utf8-meta",
+            "header-beyond-file-size",
+            "trace-lengths-not-int",
+            "label-cell-not-int",
+        ],
     )
     def test_corrupt_trace_file_is_input_error(
-        self, tmp_path, capsys, count, width, meta
+        self, tmp_path, capsys, count, width, meta, labels
     ):
         path = tmp_path / "bad.trc"
         header = struct.pack(
             "<4sIdIII", TRACE_MAGIC, TRACE_VERSION, 2.5e6, count, width, len(meta)
         )
         path.write_bytes(header + meta + bytes(4))
+        if labels is not None:
+            labels_path(path).write_text(labels)
         assert run_cli("assess", "--traces", path, "--out", tmp_path / "o") == 1
         assert_one_error_line(capsys, "input")
 

@@ -5,16 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from nonce_lab.ecdsa import (
     KeyPair,
-    NonceRecord,
     Signature,
     keygen,
-    read_nonces,
     read_private_key,
     read_signatures,
     recover_private_key,
     sign,
     verify,
-    write_nonces,
     write_private_key,
     write_signatures,
 )
@@ -183,15 +180,6 @@ def test_signature_file_roundtrip(tmp_path, toy, rng):
     assert first == f"r={sigs[0].r:x} s={sigs[0].s:x} z={sigs[0].z:x}"
 
 
-def test_nonce_file_roundtrip(tmp_path, toy, rng):
-    kp = keygen(toy, rng)
-    recs = [sign(z, kp, rng)[1] for z in (5, 6)]
-    path = tmp_path / "nonces.txt"
-    write_nonces(path, recs)
-    back = read_nonces(path, toy)
-    assert back == [r.k for r in recs]
-
-
 def test_malformed_files_raise(tmp_path, toy):
     bad = tmp_path / "bad.txt"
     bad.write_text("r=1 s=2\n")
@@ -200,13 +188,9 @@ def test_malformed_files_raise(tmp_path, toy):
     bad.write_text("q=5\n")
     with pytest.raises(DomainError):
         read_private_key(bad, toy)
-    bad.write_text("j=5\n")
-    with pytest.raises(DomainError):
-        read_nonces(bad, toy)
     for text, reader in (
         ("d=zz\n", lambda: read_private_key(bad, toy)),
         ("r=1 s=zz z=3\n", lambda: read_signatures(bad)),
-        ("k=zz\n", lambda: read_nonces(bad, toy)),
     ):
         bad.write_text(text)
         with pytest.raises(DomainError, match="not a hex integer"):

@@ -9,19 +9,18 @@ from nonce_lab.ff_curve import (
     LADDER_STEP_MUL_GROUPS,
     CurveParams,
     Field,
-    FieldElement,
     ProjectivePoint,
     Scalar,
+    _add_body,
+    _dbl_body,
+    _make_ops,
     double_and_always_add,
     fast_double_multiply,
     fast_multiply,
-    field_op,
     get_curve,
+    inverse_mod,
     ladder_step,
-    load_curve,
     montgomery_ladder,
-    point_add,
-    point_double,
     point_on_curve,
     reference_multiply,
 )
@@ -44,40 +43,37 @@ def test_reducer_matches_mod(p, z):
 
 
 @given(st.sampled_from(MODULI), st.data())
-def test_field_element_ops_match_int_arithmetic(p, data):
-    f = Field(p)
+def test_traced_field_ops_match_int_arithmetic(p, data):
+    mul, sq, add, sub, shl = _make_ops(Field(p), EventRecorder())
     a = data.draw(st.integers(0, p - 1))
     b = data.draw(st.integers(0, p - 1))
-    ea, eb = f.element(a), f.element(b)
-    assert (ea + eb).value == (a + b) % p
-    assert (ea - eb).value == (a - b) % p
-    assert (ea * eb).value == a * b % p
-    assert ea.square().value == a * a % p
-    assert (-ea).value == -a % p
-    assert ea.shift_left(3).value == (a << 3) % p
+    assert add(a, b) == (a + b) % p
+    assert sub(a, b) == (a - b) % p
+    assert mul(a, b) == a * b % p
+    assert sq(a) == a * a % p
+    assert shl(a, 3) == (a << 3) % p
     if a:
-        assert ea.inverse().value * a % p == 1
+        assert inverse_mod(a, p) * a % p == 1
 
 
 def test_inverse_of_zero_raises():
-    f = Field(65521)
     with pytest.raises(NonInvertible):
-        f.element(0).inverse()
+        inverse_mod(0, 65521)
 
 
 def test_mixed_fields_raise():
-    a = Field(65521).element(5)
-    b = Field(P521).element(5)
-    with pytest.raises(DomainError):
-        a + b
+    """Points over different fields never compare equal."""
+    a = ProjectivePoint(5, 1, 1, Field(65521))
+    b = ProjectivePoint(5, 1, 1, Field(P521))
+    assert a != b
+    assert a == ProjectivePoint(5, 1, 1, Field(65521))
 
 
 def test_field_element_must_be_reduced():
     f = Field(65521)
-    with pytest.raises(DomainError):
-        FieldElement(65521, f)
-    with pytest.raises(DomainError):
-        FieldElement(-1, f)
+    for bad in ((65521, 1, 1), (0, -1, 1), (0, 1, 65521)):
+        with pytest.raises(DomainError):
+            ProjectivePoint(*bad, f)
 
 
 def test_field_rejects_even_or_tiny_modulus():
@@ -85,19 +81,6 @@ def test_field_rejects_even_or_tiny_modulus():
         Field(10)
     with pytest.raises(DomainError):
         Field(1)
-
-
-def test_field_op_dispatch():
-    f = Field(65521)
-    a, b = f.element(1234), f.element(777)
-    assert field_op("add", a, b).value == (1234 + 777) % 65521
-    assert field_op("sub", a, b).value == (1234 - 777) % 65521
-    assert field_op("mul", a, b).value == 1234 * 777 % 65521
-    assert field_op("square", a).value == 1234 * 1234 % 65521
-    assert field_op("inv", a).value == pow(1234, 65519, 65521)
-    assert field_op("shl", a, 2).value == 1234 * 4 % 65521
-    with pytest.raises(ConfigError):
-        field_op("xor", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +150,16 @@ def test_get_curve_unknown_name():
 def test_projective_equality_across_representatives(toy):
     f = toy.field
     g = ProjectivePoint.from_affine(*toy.generator, f)
-    scaled = ProjectivePoint(
-        f.element(toy.gx * 7), f.element(toy.gy * 7), f.element(7)
-    )
+    scaled = ProjectivePoint(toy.gx * 7 % toy.p, toy.gy * 7 % toy.p, 7, f)
     assert g == scaled
-    assert g != point_double(g, toy)
-    assert ProjectivePoint.neutral(f) == ProjectivePoint(
-        f.element(0), f.element(5), f.element(0)
-    )
+    assert g != reference_multiply(2, g, toy)
+    assert ProjectivePoint.neutral(f) == ProjectivePoint(0, 5, 0, f)
 
 
 def test_projective_rejects_origin(toy):
     f = toy.field
     with pytest.raises(DomainError):
-        ProjectivePoint(f.element(0), f.element(0), f.element(0))
+        ProjectivePoint(0, 0, 0, f)
 
 
 def test_to_affine(toy):
@@ -195,6 +174,20 @@ def test_to_affine(toy):
 
 def _as_affine(P):
     return P.to_affine()
+
+
+def point_add(P, Q, curve, recorder=None):
+    """P + Q on the complete formulas the traced double-and-add runs."""
+    ops = _make_ops(curve.field, recorder)[:4]
+    R = _add_body(P.triple(), Q.triple(), curve.a, 3 * curve.b % curve.p, *ops)
+    return ProjectivePoint(*R, curve.field)
+
+
+def point_double(P, curve, recorder=None):
+    """2P on the complete formulas the traced double-and-add runs."""
+    ops = _make_ops(curve.field, recorder)[:4]
+    R = _dbl_body(P.triple(), curve.a, 3 * curve.b % curve.p, *ops)
+    return ProjectivePoint(*R, curve.field)
 
 
 def test_add_double_specials(toy):
@@ -231,13 +224,10 @@ def test_add_matches_oracle_on_toy(i, j):
 
 
 def test_point_ops_reject_off_curve(toy):
-    f = toy.field
-    bogus = ProjectivePoint.from_affine(toy.gx, (toy.gy + 1) % toy.p, f)
-    G = ProjectivePoint.from_affine(*toy.generator, f)
+    G = ProjectivePoint.from_affine(*toy.generator, toy.field)
+    G2 = reference_multiply(2, G, toy)
     with pytest.raises(DomainError):
-        point_add(G, bogus, toy)
-    with pytest.raises(DomainError):
-        point_double(bogus, toy)
+        ladder_step(G, G2, (toy.gx, toy.gy + 1), toy)
 
 
 def test_traced_ops_emit_per_field_op(toy):
@@ -256,22 +246,26 @@ def test_traced_ops_emit_per_field_op(toy):
 # ladder_step
 
 
+def _x(P):
+    """Affine x of a ladder register, X/Z."""
+    return P.X * inverse_mod(P.Z, P.field.p) % P.field.p
+
+
 def test_ladder_step_from_initial_state(p521, p128, w255, toy):
     for curve in (p521, p128, w255, toy):
         f = curve.field
         G = ProjectivePoint.from_affine(*curve.generator, f)
-        G2 = point_double(G, curve)
+        G2 = reference_multiply(2, G, curve)
         s2, r2 = ladder_step(G, G2, curve.generator, curve)
         for got, mult in ((s2, 3), (r2, 4)):
             want = reference_multiply(mult, G, curve).to_affine()
-            x = (got.X * got.Z.inverse()).value
-            assert x == want[0], curve.name
+            assert _x(got) == want[0], curve.name
 
 
 def test_ladder_step_group_fingerprint(toy):
     rec = EventRecorder()
     G = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    G2 = point_double(G, toy)
+    G2 = reference_multiply(2, G, toy)
     ladder_step(G, G2, toy.generator, toy, recorder=rec)
     groups = []
     run = 0
@@ -300,13 +294,13 @@ def test_ladder_step_advances_any_state(m):
     want_s = affine_multiply(2 * m + 1, toy.generator, toy.p, toy.a)
     want_r = affine_multiply(2 * m + 2, toy.generator, toy.p, toy.a)
     if want_s is not None:
-        assert (s2.X * s2.Z.inverse()).value == want_s[0]
+        assert _x(s2) == want_s[0]
     else:
-        assert s2.Z.value == 0
+        assert s2.Z == 0
     if want_r is not None:
-        assert (r2.X * r2.Z.inverse()).value == want_r[0]
+        assert _x(r2) == want_r[0]
     else:
-        assert r2.Z.value == 0
+        assert r2.Z == 0
 
 
 def test_ladder_step_rejects_inconsistent_state(toy):
@@ -322,9 +316,9 @@ def test_ladder_step_accepts_neutral_halves(toy):
     G = ProjectivePoint.from_affine(*toy.generator, f)
     O = ProjectivePoint.neutral(f)
     s2, r2 = ladder_step(O, G, toy.generator, toy)
-    assert (s2.X * s2.Z.inverse()).value == toy.gx
+    assert _x(s2) == toy.gx
     want = reference_multiply(2, G, toy).to_affine()
-    assert (r2.X * r2.Z.inverse()).value == want[0]
+    assert _x(r2) == want[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,61 +553,9 @@ def test_core_on_small_order_points():
                 assert fast_double_multiply(u1, u2, P, curve).to_affine() == want, (P, u1, u2)
 
 
-def test_generator_table_is_built_on_first_use(tmp_path):
-    path = tmp_path / "demo.curve"
-    path.write_text(CURVE_FILE)
-    curve = load_curve(path)
+def test_generator_table_is_built_on_first_use(toy):
+    curve = CurveParams("demo16", toy.p, toy.a, toy.b, toy.gx, toy.gy, toy.n, word_count=1)
     assert curve._g_table is None
     fast_multiply(5, curve.generator, curve)
     assert curve._g_table is not None
 
-
-# ---------------------------------------------------------------------------
-# Curve file loading
-
-
-CURVE_FILE = """\
-# comment line
-name = demo16
-p = fff1
-a = ffee
-b = 3
-gx = 2
-gy = 2ef1
-n = 1001b
-word_count = 1
-"""
-
-
-def test_load_curve_roundtrip(tmp_path, toy):
-    path = tmp_path / "demo.curve"
-    path.write_text(CURVE_FILE)
-    curve = load_curve(path)
-    assert curve.name == "demo16"
-    assert (curve.p, curve.a, curve.b) == (toy.p, toy.a, toy.b)
-    assert curve.generator == toy.generator
-    assert curve.n == toy.n
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda t: t.replace("p = fff1", "p = fff1\nextra = 1"),
-        lambda t: t.replace("n = 1001b\n", ""),
-        lambda t: t.replace("b = 3", "b = zz"),
-        lambda t: t + "name = again\n",
-        lambda t: t.replace("gy = 2ef1", "gy"),
-    ],
-)
-def test_load_curve_rejects_malformed(tmp_path, mutate):
-    path = tmp_path / "demo.curve"
-    path.write_text(mutate(CURVE_FILE))
-    with pytest.raises(ConfigError):
-        load_curve(path)
-
-
-def test_load_curve_rejects_bad_params(tmp_path):
-    path = tmp_path / "demo.curve"
-    path.write_text(CURVE_FILE.replace("word_count = 1", "word_count = 2"))
-    with pytest.raises(DomainError):
-        load_curve(path)

@@ -13,7 +13,7 @@ from nonce_lab.ff_curve import (
     Scalar,
     ladder_step,
     montgomery_ladder,
-    point_double,
+    reference_multiply,
 )
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 from nonce_lab.tracesim import (
@@ -46,7 +46,7 @@ def flat_events(count, kind=OpKind.FIELD_MUL, leak=0):
 def step_events(toy):
     rec = EventRecorder()
     s = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    ladder_step(s, point_double(s, toy), toy.generator, toy, rec)
+    ladder_step(s, reference_multiply(2, s, toy), toy.generator, toy, rec)
     return list(rec)
 
 
