@@ -1,10 +1,10 @@
 """Leakage assessment and profiled classification of swap conditions.
 
 Two consumers share this module: the assessment path runs Welch's
-t-test over labelled capture campaigns and flags sample points beyond
-the |t| > 4.5 threshold, and the attack path fits per-class Gaussian
-templates at the strongest points and turns aligned swap windows into
-nonce bits.
+t-test over labelled capture campaigns and compares the largest |t|
+with the 4.5 threshold, and the attack path fits per-class Gaussian
+templates at the strongest points and scores all aligned swap windows
+of a trace as one matrix to read off the nonce bits.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ LEAK_THRESHOLD = 4.5
 # equal means then give t = 0 instead of 0/0.
 _VARIANCE_FLOOR = 1e-30
 
+# Ridge added to the pooled covariance, as a fraction of its mean
+# variance, so regularization scales with the signal.
+_RIDGE_SCALE = 1e-6
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TTestResult:
@@ -51,31 +55,18 @@ class TTestResult:
     def max_abs_t(self) -> float:
         return float(np.max(np.abs(self.t_values)))
 
-    def leaking_points(self, threshold: float = LEAK_THRESHOLD) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.t_values) > threshold)
-
-
-@dataclass(frozen=True, slots=True)
-class BitPrediction:
-    """Classifier output for one swap window."""
-
-    cond_guess: int
-    probability: float
-
-    def __post_init__(self) -> None:
-        if self.cond_guess not in (0, 1):
-            raise DomainError("cond_guess must be 0 or 1")
-        if not 0.0 <= self.probability <= 1.0:
-            raise DomainError("probability must lie in [0, 1]")
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class NonceEstimate:
-    """Recovered nonce bits with the window-level evidence behind them."""
+    """Recovered nonce bits with the window-level evidence behind them.
+
+    ``probabilities[i]`` is the class-1 probability of window i, the
+    one its condition guess ``conds[i]`` was read from.
+    """
 
     bits: tuple[int, ...]
     conds: tuple[int, ...]
-    predictions: tuple[BitPrediction, ...]
+    probabilities: np.ndarray
 
     @property
     def value(self) -> int:
@@ -221,11 +212,11 @@ class TemplateModel:
             raise ConfigError(f"unknown template mode {self.mode!r}")
 
     def _mahalanobis(self, deltas: np.ndarray) -> np.ndarray:
-        """Quadratic forms delta' C^-1 delta, batched over rows."""
+        """Quadratic forms delta' C^-1 delta, one per row."""
         if self.mode == "diag":
             return np.sum(deltas**2 / self.cov, axis=-1)
-        solved = linalg.cho_solve(self._chol, np.atleast_2d(deltas).T).T
-        return np.sum(np.atleast_2d(deltas) * solved, axis=-1)
+        solved = linalg.cho_solve(self._chol, deltas.T).T
+        return np.sum(deltas * solved, axis=-1)
 
 
 def fit_templates(
@@ -234,15 +225,13 @@ def fit_templates(
     poi: Sequence[int],
     *,
     mode: str = "diag",
-    ridge_scale: float = 1e-6,
     trained_on: dict[str, str] | None = None,
 ) -> TemplateModel:
     """Class means plus pooled, ridge-regularized covariance at the poi.
 
-    The ridge term is ``ridge_scale`` times the mean of the covariance
-    trace, so regularization scales with the signal.  Full mode demands
-    at least ``10 * len(poi)`` traces per class; diagonal mode only
-    needs two.
+    The ridge term is ``_RIDGE_SCALE`` times the mean of the covariance
+    trace.  Full mode demands at least ``10 * len(poi)`` traces per
+    class; diagonal mode only needs two.
     """
     matrix = _as_matrix(data)
     poi_sorted = np.sort(np.asarray(poi, dtype=np.int64))
@@ -270,11 +259,11 @@ def fit_templates(
         pooled = (
             np.sum(residual0**2, axis=0) + np.sum(residual1**2, axis=0)
         ) / dof
-        ridge = ridge_scale * float(pooled.mean())
+        ridge = _RIDGE_SCALE * float(pooled.mean())
         cov = pooled + ridge
     else:
         pooled = (residual0.T @ residual0 + residual1.T @ residual1) / dof
-        ridge = ridge_scale * float(np.trace(pooled)) / poi_sorted.size
+        ridge = _RIDGE_SCALE * float(np.trace(pooled)) / poi_sorted.size
         cov = pooled + ridge * np.eye(poi_sorted.size)
     meta = {
         "mode": mode,
@@ -296,26 +285,15 @@ def _log_likelihood_ratio(model: TemplateModel, features: np.ndarray) -> np.ndar
     return 0.5 * (model._mahalanobis(d0) - model._mahalanobis(d1))
 
 
-def classify(model: TemplateModel, window: Sequence[float]) -> BitPrediction:
-    """Likelihood-ratio decision for one feature window.
-
-    The probability is the normalized class-1 likelihood under equal
-    priors; an exact tie resolves to condition 0.
-    """
-    x = np.asarray(window, dtype=np.float64).ravel()
-    if x.size <= int(model.poi[-1]):
-        raise DomainError(
-            f"window of {x.size} samples does not cover poi up to {model.poi[-1]}"
-        )
-    llr = float(np.atleast_1d(_log_likelihood_ratio(model, x[model.poi]))[0])
-    probability = 1.0 / (1.0 + np.exp(-np.clip(llr, -700.0, 700.0)))
-    return BitPrediction(int(llr > 0.0), float(probability))
-
-
 def classify_batch(
     model: TemplateModel, matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``classify`` over a matrix of feature windows."""
+    """Likelihood-ratio decisions for feature windows, one window per row.
+
+    Returns the condition guesses and the class-1 probabilities: the
+    normalized class-1 likelihood under equal priors.  An exact tie
+    resolves to condition 0.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] <= int(model.poi[-1]):
         raise DomainError("matrix rows must cover all poi")
@@ -357,8 +335,6 @@ def recover_nonce_bits(
     model: TemplateModel,
     windows: AlignedSwapWindows,
     multiplier: str | None = None,
-    *,
-    median_samples: int | None = None,
 ) -> NonceEstimate:
     """Classify every aligned swap window and undo the swap encoding.
 
@@ -366,7 +342,9 @@ def recover_nonce_bits(
     anchor there; double-and-add windows anchor at their start.  On the
     ladder each condition is the XOR of adjacent scalar bits, seeded at
     the most significant bit, and is unfolded back into bits; with
-    double-and-add the conditions are the bits themselves.
+    double-and-add the conditions are the bits themselves.  The envelope
+    width comes from the model metadata, so scoring repeats the
+    training preprocessing.
     """
     if multiplier is None:
         multiplier = trace.meta.get("multiplier", "ladder")
@@ -377,42 +355,32 @@ def recover_nonce_bits(
     width = int(model.trained_on.get("feature_length", "0"))
     if width <= 0:
         raise DomainError("model metadata lacks the training window length")
-    if median_samples is None:
-        median_samples = int(model.trained_on.get("median_samples", "0"))
-        if median_samples < 3:
-            raise DomainError("model metadata lacks the envelope width")
+    median_samples = int(model.trained_on.get("median_samples", "0"))
+    if median_samples < 3:
+        raise DomainError("model metadata lacks the envelope width")
     samples = trace.samples
     if samples.size < width:
         raise AlignmentError("trace is shorter than one swap window")
-    predictions: list[BitPrediction] = []
+    starts = []
     for start, end in windows.spans:
         # Anchor at the edge the aligner fixes precisely, then clamp the
         # window into the trace; detected positions can sit a few samples
         # off at the boundaries.
         if multiplier == "ladder":
-            hi = min(end, samples.size)
-            lo = hi - width
-            if lo < 0:
-                lo, hi = 0, width
+            lo = max(min(end, samples.size) - width, 0)
         else:
-            lo = max(start, 0)
-            hi = lo + width
-            if hi > samples.size:
-                lo, hi = samples.size - width, samples.size
-        features = rectified_envelope(samples[lo:hi], median_samples)
-        predictions.append(classify(model, features))
-    conds = tuple(p.cond_guess for p in predictions)
-    if multiplier == "ladder":
-        bits: list[int] = []
-        previous = 0
-        for cond in conds:
-            previous ^= cond
-            bits.append(previous)
-    else:
-        bits = list(conds)
-    return NonceEstimate(
-        bits=tuple(bits), conds=conds, predictions=tuple(predictions)
+            lo = min(max(start, 0), samples.size - width)
+        starts.append(lo)
+    cut = np.lib.stride_tricks.sliding_window_view(samples, width)[starts]
+    guesses, probabilities = classify_batch(
+        model, feature_matrix(cut, median_samples)
     )
+    conds = tuple(guesses.tolist())
+    if multiplier == "ladder":
+        bits = tuple(np.bitwise_xor.accumulate(guesses).tolist())
+    else:
+        bits = conds
+    return NonceEstimate(bits=bits, conds=conds, probabilities=probabilities)
 
 
 def write_model(model: TemplateModel, path: Path | str) -> None:

@@ -66,7 +66,7 @@ from .errors import (
     StatError,
 )
 from .events import EventRecorder
-from .ff_curve import get_curve
+from .ff_curve import fast_multiply, get_curve
 from .recover import (
     ExperimentConfig,
     build_hnp,
@@ -214,7 +214,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if values["out"] is None:
         values["out"] = f"out-{args.command}"
     if values["word_count"] is None:
-        values["word_count"] = get_curve(values["curve"]).coordinate_words
+        values["word_count"] = get_curve(values["curve"]).word_count
     return RunConfig(**values)
 
 
@@ -542,15 +542,18 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
                     truth[i],
                     estimate.bits[i],
                     true_bits[i],
-                    f"{estimate.predictions[i].probability:.6f}",
+                    f"{estimate.probabilities[i]:.6f}",
                 )
             )
 
+    # Decided from the public key alone: only the counters above read the
+    # simulation's ground truth.
     try:
         guess_d = recover_private_key(sig, estimate.value, curve)
     except DomainError:
-        guess_d = None
-    recovered = guess_d == key.d
+        recovered = False
+    else:
+        recovered = fast_multiply(guess_d, curve.generator, curve) == key.Q
     _write_json(
         out / "summary.json",
         {

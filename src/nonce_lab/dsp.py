@@ -27,7 +27,7 @@ from scipy import ndimage, special
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import AlignmentError, ConfigError, DomainError
-from .events import EventRecorder, WORD_OP_KINDS
+from .events import KIND_BY_CODE, WORD_OP_KINDS, EventRecorder
 from .ff_curve import (
     CurveParams,
     ProjectivePoint,
@@ -41,6 +41,10 @@ from .tracesim import LeakageTrace, SimConfig, synthesize
 _STOPBAND_DB = 48.0
 _HOLE_CONFIDENCE_FLOOR = 0.25
 _SEED_CORR_FLOOR = 0.35
+# Ceiling of the seed correlation threshold: noise lowers every peak
+# roughly uniformly, so the threshold follows the strongest match down
+# from here to _SEED_CORR_FLOOR.
+_SEED_CORR_CEILING = 0.6
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,20 +194,13 @@ def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
     )
 
 
-def _pattern_template(
-    curve: CurveParams,
-    cfg: SimConfig,
-    multiplier: str,
-    band: FilterSpec | None = None,
-) -> np.ndarray:
-    """Noiseless envelope of one scalar-multiplication iteration.
+def _iteration_events(curve: CurveParams, multiplier: str) -> EventRecorder:
+    """Field-arithmetic events of one scalar-multiplication iteration.
 
     Runs a one-bit scalar through the requested multiplier and keeps the
-    field-arithmetic events, which form the machine-readable fingerprint
-    of a single iteration (the swap burst is excluded: its length varies
-    with the countermeasure in use).  When a band is given the template
-    passes through the same filter the trace will, so both sides of the
-    correlation carry identical smoothing.
+    events that are not word-level swap steps: the machine-readable
+    fingerprint of a single iteration (the swap burst is excluded: its
+    length varies with the countermeasure in use).
     """
     recorder = EventRecorder()
     k = Scalar(1, 1)
@@ -220,13 +217,30 @@ def _pattern_template(
         )
     else:
         raise ConfigError(f"unknown multiplier {multiplier!r}")
-    step_events = [e for e in recorder if e.op_kind not in WORD_OP_KINDS]
-    if not step_events:
-        raise AlignmentError("multiplier produced no arithmetic events")
+    step = EventRecorder()
+    for code, leak, cond in zip(recorder.kinds, recorder.leaks, recorder.conds):
+        if KIND_BY_CODE[code] not in WORD_OP_KINDS:
+            step.emit(KIND_BY_CODE[code], leak, cond)
+    return step
+
+
+def _pattern_template(
+    curve: CurveParams,
+    cfg: SimConfig,
+    multiplier: str,
+    band: FilterSpec | None = None,
+) -> np.ndarray:
+    """Noiseless envelope of one scalar-multiplication iteration.
+
+    Synthesizes the iteration's arithmetic events without noise.  When a
+    band is given the template passes through the same filter the trace
+    will, so both sides of the correlation carry identical smoothing.
+    """
+    step = _iteration_events(curve, multiplier)
     quiet = dataclasses.replace(
         cfg, noise_sigma=0.0, interruption_prob=0.0, interference=()
     )
-    trace = synthesize(step_events, quiet)
+    trace = synthesize(step, quiet)
     if band is not None:
         trace = bandpass(trace, band)
     return rectified_envelope(trace.samples, max(3, cfg.samples_per_event // 4))
@@ -424,7 +438,6 @@ def align_swaps(
     cfg: SimConfig,
     *,
     multiplier: str | None = None,
-    ncc_threshold: float = 0.6,
 ) -> AlignedSwapWindows:
     """Locate every conditional swap by finding the iterations around it.
 
@@ -435,9 +448,8 @@ def align_swaps(
     the inter-match gaps are the swap spans.  Confidence is the
     normalized correlation of the adjacent match.
 
-    ``ncc_threshold`` is a ceiling: noise lowers every correlation peak
-    roughly uniformly, so the effective threshold follows the strongest
-    match down to an absolute floor.  Matches must also be numerous
+    The match threshold follows the strongest correlation peak between a
+    fixed ceiling and an absolute floor.  Matches must also be numerous
     enough for the room the trace has and repeat at a stable spacing;
     sparse or incoherent maxima are rejected as structureless.
     """
@@ -454,7 +466,7 @@ def align_swaps(
     corr = _normalized_xcorr(envelope, template)
     width = template.size
     best = float(corr.max(initial=0.0))
-    threshold = max(_SEED_CORR_FLOOR, min(ncc_threshold, 0.6 * best))
+    threshold = max(_SEED_CORR_FLOOR, min(_SEED_CORR_CEILING, 0.6 * best))
     positions = _peak_positions(corr, threshold, width)
     bits = curve.n.bit_length()
     capacity = min(bits, trace.samples.size // width)

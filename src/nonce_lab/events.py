@@ -2,15 +2,14 @@
 
 The leakage simulator does not model voltages directly; it consumes an
 EventRecorder, whose columns say what the device did and how many bits
-toggled while doing it. Field operations and swap word operations both emit
-into the same recorder so that a full scalar multiplication serializes to
-one ordered event stream.
+toggled while doing it; no per-event object is ever built. Field
+operations and swap word operations both emit into the same recorder so
+that a full scalar multiplication serializes to one ordered event stream.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import NamedTuple, Sequence
 
 WORD_BITS = 64
 
@@ -51,31 +50,16 @@ WORD_OP_KINDS = frozenset(
 )
 
 
-class SwapTraceEvent(NamedTuple):
-    """One micro-operation with its data-dependent leak value.
-
-    leak_value is a bit count (Hamming weight or Hamming distance) of
-    whatever the operation touched. ground_truth_cond carries the swap
-    condition for events that belong to a conditional swap and None for
-    plain arithmetic; it exists so simulated traces can be labeled, and a
-    classifier must never read it.
-    """
-
-    op_kind: OpKind
-    leak_value: int
-    time_index: int
-    ground_truth_cond: int | None = None
-
-
-class EventRecorder(Sequence):
+class EventRecorder:
     """Append-only event stream kept as three parallel columns.
 
     ``kinds`` holds each event's ``OpKind.code``, ``leaks`` its leak value
-    and ``conds`` its swap condition (None for plain arithmetic); an
-    event's time index is its position. ``emit`` builds no object and
-    checks nothing, since ``synthesize`` validates the columns once.
-    ``SwapTraceEvent`` rows are built on access: indexing, iteration or
-    ``events``.
+    (a Hamming weight or distance of whatever the operation touched) and
+    ``conds`` its swap condition, None for plain arithmetic; an event's
+    time index is its position. The conditions exist so simulated traces
+    can be labeled; a classifier must never read them. ``emit`` builds no
+    object and checks nothing, since ``synthesize`` validates the columns
+    once.
     """
 
     __slots__ = ("kinds", "leaks", "conds")
@@ -92,13 +76,3 @@ class EventRecorder(Sequence):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> SwapTraceEvent:
-        i = range(len(self.kinds))[i]
-        return SwapTraceEvent(
-            KIND_BY_CODE[self.kinds[i]], self.leaks[i], i, self.conds[i]
-        )
-
-    @property
-    def events(self) -> list[SwapTraceEvent]:
-        return list(self)

@@ -12,12 +12,12 @@ conditional swap supplied by the caller:
 * ``double_and_always_add``: doubles and adds every iteration, then swaps
   the result register with the throwaway register under condition ``k_i``.
 
-When given an EventRecorder, the multipliers and ``ladder_step`` emit one
-event per field operation (with the Hamming weight of the result) plus
-whatever the swap implementation emits; the simulator turns that stream into
-sampled traces. Without a recorder both multipliers hand the work to one
-untraced core (``fast_multiply``): Jacobian coordinates, width-w NAF for an
-arbitrary base and a fixed-base table for the generator, built on first use.
+When given an EventRecorder, the multipliers emit one event per field
+operation (with the Hamming weight of the result) plus whatever the swap
+implementation emits; the simulator turns that stream into sampled traces.
+Without a recorder both multipliers hand the work to one untraced core
+(``fast_multiply``): Jacobian coordinates, width-w NAF for an arbitrary base
+and a fixed-base table for the generator, built on first use.
 The core branches on the scalar and records nothing; it also serves key
 generation, verification and the key checks of recovery.
 ``reference_multiply`` is a separate, naive double-and-add on the complete
@@ -40,8 +40,8 @@ from .events import EventRecorder, OpKind
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
 
-# Sizes of the consecutive multiply/square runs inside one ladder step, used
-# by the alignment stage as the envelope fingerprint of a step.
+# Sizes of the consecutive multiply/square runs inside one ladder step
+# (``_step_body``); the aligner matches the envelope these runs make.
 LADDER_STEP_MUL_GROUPS = (5, 2, 1, 2, 3, 1, 3, 3)
 
 
@@ -131,14 +131,12 @@ class CurveParams:
 
     Construction checks the curve is non-singular, the base point lies on
     it, and ``n`` really kills the base point. ``word_count`` is how many
-    64-bit machine words one coordinate occupies; ``flag_words`` models an
-    optional extra bookkeeping word per coordinate that some bignum layouts
-    swap along with the limbs (off by default).
+    64-bit machine words one coordinate occupies, and so how many words per
+    coordinate a conditional swap moves; bignum layouts that also swap a
+    bookkeeping flag word along with the limbs are not modelled.
     """
 
-    __slots__ = (
-        "name", "p", "a", "b", "gx", "gy", "n", "word_count", "flag_words", "field", "_g_table"
-    )
+    __slots__ = ("name", "p", "a", "b", "gx", "gy", "n", "word_count", "field", "_g_table")
 
     def __init__(
         self,
@@ -150,7 +148,6 @@ class CurveParams:
         gy: int,
         n: int,
         word_count: int,
-        flag_words: int = 0,
     ) -> None:
         self.name = name
         self.field = Field(p)
@@ -160,14 +157,11 @@ class CurveParams:
         self.gx = gx % p
         self.gy = gy % p
         self.n = n
-        self.flag_words = flag_words
         expected_words = -(-p.bit_length() // WORD_BITS)
         if word_count != expected_words:
             raise DomainError(
                 f"word_count {word_count} does not match {p.bit_length()}-bit modulus"
             )
-        if flag_words < 0:
-            raise DomainError(f"flag_words must be non-negative, got {flag_words}")
         self.word_count = word_count
         self._g_table = None  # fixed-base table for G, built on first use
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
@@ -183,11 +177,6 @@ class CurveParams:
     @property
     def generator(self) -> tuple[int, int]:
         return (self.gx, self.gy)
-
-    @property
-    def coordinate_words(self) -> int:
-        """Machine words per coordinate as the swap sees them."""
-        return self.word_count + self.flag_words
 
     def __repr__(self) -> str:
         return f"CurveParams({self.name!r}, {self.p.bit_length()} bits)"
@@ -441,78 +430,6 @@ def _step_body(s, r, x_base, a, b, mul, sq, add, sub, shl):
     t1 = shl(t1, 1)
     Z2n = add(t4, t1)
     return (X1n, Z1n), (X2n, Z2n)
-
-
-def _xz(P: ProjectivePoint) -> tuple[int, int]:
-    # On the x-line the neutral element is (c : 0) with c != 0; the full
-    # projective neutral (0 : 1 : 0) would degenerate to the invalid (0, 0).
-    if P.Z == 0:
-        return (1, 0)
-    return (P.X, P.Z)
-
-
-def _ladder_state_consistent(s: tuple[int, int], r: tuple[int, int], base: tuple[int, int], curve: CurveParams) -> bool:
-    """Check that the x-line difference of r and s can equal x(base).
-
-    For affine xr != xs this uses the sum/difference symmetric functions:
-    x(r+s)*x(r-s) = ((xr*xs - a)^2 - 4b(xr+xs)) / (xr-xs)^2 and
-    x(r+s)+x(r-s) = 2((xr+xs)(xr*xs+a) + 2b) / (xr-xs)^2, so x(base) must be
-    a root of X^2 - sum*X + product. Neutral representatives degenerate to
-    direct coordinate comparisons.
-    """
-    p, a, b = curve.p, curve.a, curve.b
-    xb = base[0] % p
-    X1, Z1 = s
-    X2, Z2 = r
-    if Z1 % p == 0 and Z2 % p == 0:
-        return False
-    if Z1 % p == 0:
-        # s is neutral, so r must be the base itself.
-        return (X2 - xb * Z2) % p == 0
-    if Z2 % p == 0:
-        # r is neutral, so s must be -base (same x).
-        return (X1 - xb * Z1) % p == 0
-    # Projective symmetric functions, fractions cleared by (X1*Z2 - X2*Z1)^2
-    # and Z1^2*Z2^2.
-    u = (X1 * Z2 - X2 * Z1) % p
-    zz = Z1 * Z2 % p
-    if u == 0:
-        # Same x: difference is O (excluded; base is affine) or 2-torsion;
-        # accept only if base shares that x.
-        return (X1 - xb * Z1) % p == 0
-    xx = X1 * X2 % p
-    xs = (X1 * Z2 + X2 * Z1) % p
-    prod_num = ((xx - a * zz) ** 2 - 4 * b * xs * zz) % p
-    sum_num = (2 * ((xs * (xx + a * zz)) + 2 * b * zz * zz)) % p
-    u2 = u * u % p
-    # Root test of X^2 - S*X + P at X = xb with denominators cleared.
-    return (xb * xb * u2 - xb * sum_num + prod_num) % p == 0
-
-
-def ladder_step(
-    s: ProjectivePoint,
-    r: ProjectivePoint,
-    base: tuple[int, int],
-    curve: CurveParams,
-    recorder: EventRecorder | None = None,
-) -> tuple[ProjectivePoint, ProjectivePoint]:
-    """Advance a ladder state: returns (r + s, 2r).
-
-    The state must satisfy r - s = base on the x-line. Only X and Z
-    participate; the returned points carry the inputs' Y values unchanged
-    (they are meaningless mid-ladder and repaired by y-recovery at the end).
-    """
-    yb2 = (base[1] * base[1] - (base[0] ** 3 + curve.a * base[0] + curve.b)) % curve.p
-    if yb2 != 0:
-        raise DomainError("base point is not on the curve")
-    if not _ladder_state_consistent(_xz(s), _xz(r), base, curve):
-        raise DomainError("ladder state does not differ by the base point")
-    mul, sq, add, sub, shl = _make_ops(curve.field, recorder)
-    (sx, sz), (rx, rz) = _step_body(
-        _xz(s), _xz(r), base[0] % curve.p, curve.a, curve.b, mul, sq, add, sub, shl
-    )
-    f = curve.field
-    return ProjectivePoint(sx, s.Y, sz, f), ProjectivePoint(rx, r.Y, rz, f)
 
 
 def _recover_y(base: tuple[int, int], R0: tuple[int, int], R1: tuple[int, int], curve: CurveParams) -> tuple[int, int] | None:
@@ -789,7 +706,7 @@ def montgomery_ladder(
     combined = swap_impl.kind is swap_impls.SwapKind.COMBINED
     red = curve.field.reducer()
     p = curve.p
-    wc = curve.coordinate_words
+    wc = curve.word_count
     mul, sq, add, sub, shl = _make_ops(curve.field, recorder)
     rng = swap_impl.rng
 
@@ -869,7 +786,7 @@ def double_and_always_add(
     red = curve.field.reducer()
     p, a = curve.p, curve.a
     b3 = 3 * curve.b % p
-    wc = curve.coordinate_words
+    wc = curve.word_count
     mul, sq, add, sub, _ = _make_ops(curve.field, recorder)
     rng = swap_impl.rng
     # A random neutral representative keeps the first iterations' register

@@ -27,6 +27,9 @@ from .ecdsa import Signature, keygen, sign
 from .errors import ConfigError, DomainError, RecoveryFailed
 from .ff_curve import CurveParams, ProjectivePoint, fast_multiply, inverse_mod
 
+# Lovasz parameter of lll_reduce's default and of every key recovery:
+# close to 1, so the reduced rows are near-shortest, which reading the key
+# off a row relies on.
 DEFAULT_DELTA = Fraction(99, 100)
 
 _WARMUP_DELTA = 0.5
@@ -132,10 +135,6 @@ class ExperimentResult:
     config: ExperimentConfig
     successes: int
     mean_seconds: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.config.trials
 
 
 def build_hnp(
@@ -431,7 +430,6 @@ def recover_key(
     *,
     max_tries: int = 20,
     rng: random.Random | None = None,
-    delta: Fraction | float = DEFAULT_DELTA,
 ) -> int:
     """Recover d with d*G == public from the instance, or fail loudly.
 
@@ -445,7 +443,7 @@ def recover_key(
         raise ConfigError(f"unknown strategy {strategy!r}")
 
     def attempt(sub: HnpInstance) -> int | None:
-        reduced = lll_reduce(build_lattice(sub), delta)
+        reduced = lll_reduce(build_lattice(sub))
         for cand in _candidate_keys(reduced, curve.n):
             if fast_multiply(cand, curve.generator, curve) == public:
                 return cand

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 import struct
 
 import numpy as np
@@ -29,7 +29,6 @@ from .events import (
     WORD_OP_KINDS,
     EventRecorder,
     OpKind,
-    SwapTraceEvent,
 )
 from .ff_curve import (
     CurveParams,
@@ -87,8 +86,8 @@ class SimConfig:
     Defaults are a desk-scale surrogate of the hardware target: all
     frequencies are divided by 1000, which preserves every ratio the
     pipeline depends on while keeping a full-scalar trace near 10^6
-    samples.  ``hardware_scale`` returns the unscaled figures; actually
-    simulating at that rate is impractical and unnecessary.
+    samples; simulating at the hardware rates (f_cpu 1.8 GHz, sample_rate
+    2.5 GHz) is impractical and unnecessary.
     """
 
     f_cpu: float = 1.8e6
@@ -150,31 +149,15 @@ class SimConfig:
         """Carrier frequency the activity envelope is modulated onto."""
         return self.f_cpu * self.mod_ratio.numerator / self.mod_ratio.denominator
 
-    @classmethod
-    def hardware_scale(cls, **overrides) -> "SimConfig":
-        """Unscaled hardware-rate figures, kept for documentation."""
-        overrides.setdefault("f_cpu", 1.8e9)
-        overrides.setdefault("sample_rate", 2.5e9)
-        return cls(**overrides)
 
+class MarkerTable:
+    """Ground-truth annotations of a synthesized trace, one column each.
 
-class Marker(NamedTuple):
-    """Ground-truth annotation for one synthesized event."""
-
-    start: int
-    end: int
-    op_kind: OpKind
-    cond: int | None
-    interfered: bool
-
-
-class MarkerTable(Sequence):
-    """Column-oriented store of per-event markers.
-
-    A full scalar multiplication produces tens of thousands of events;
-    keeping one Python object per marker would dwarf the sample data, so
-    the columns live in flat arrays and ``Marker`` rows are materialized
-    on access.
+    Event i spans samples ``starts[i]:ends[i]``; ``kinds`` holds its
+    ``OpKind.code``, ``conds`` its swap condition (-1 for none) and
+    ``interfered`` whether a burst overlaps it.  A full scalar
+    multiplication produces tens of thousands of events, so the columns
+    are flat arrays and no per-marker object exists.
     """
 
     __slots__ = ("starts", "ends", "kinds", "conds", "interfered", "_windows")
@@ -214,18 +197,6 @@ class MarkerTable(Sequence):
 
     def __len__(self) -> int:
         return self.starts.size
-
-    def __getitem__(self, i: int) -> Marker:
-        if not isinstance(i, int):
-            raise TypeError("marker indices must be integers")
-        cond = int(self.conds[i])
-        return Marker(
-            int(self.starts[i]),
-            int(self.ends[i]),
-            KIND_BY_CODE[self.kinds[i]],
-            None if cond < 0 else cond,
-            bool(self.interfered[i]),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkerTable):
@@ -304,7 +275,7 @@ def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
 
 
 def synthesize(
-    events: EventRecorder | Iterable[SwapTraceEvent],
+    events: EventRecorder,
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
     *,
@@ -319,13 +290,8 @@ def synthesize(
     ``interruption_prob`` a silent gap of random length is spliced in at
     a random event boundary.
 
-    The recorder's columns are validated here, once; any other iterable
-    of ``SwapTraceEvent`` rows is first re-emitted into a recorder.
+    The recorder's columns are validated here, once.
     """
-    if not isinstance(events, EventRecorder):
-        rows, events = events, EventRecorder()
-        for row in rows:
-            events.emit(row.op_kind, row.leak_value, row.ground_truth_cond)
     if not len(events):
         raise DomainError("cannot synthesize an empty event stream")
     kinds = np.array(events.kinds, dtype=np.uint8)
@@ -736,15 +702,18 @@ def read_trace_set(path: Path | str) -> TraceSet:
                 i, j, cond, flag = (int(v) for v in row)
             except ValueError:
                 raise DomainError(f"{sidecar} has a malformed row: {row!r}") from None
+            if not (0 <= i < count and j >= 0 and cond in (0, 1) and flag in (0, 1)):
+                raise DomainError(f"{sidecar} has an out-of-range row: {row!r}")
             cells[(i, j)] = (cond, flag)
     if not cells:
         return TraceSet(traces, np.zeros((count, 0), dtype=np.int8))
+    # Every key lies in [0, count) x [0, swaps), so the table is complete
+    # exactly when it holds count * swaps keys; checked before allocating.
     swaps = max(j for _, j in cells) + 1
+    if len(cells) != count * swaps:
+        raise DomainError(f"{sidecar} does not cover {count} traces by {swaps} swaps")
     labels = np.empty((count, swaps), dtype=np.int8)
-    interfered = np.zeros((count, swaps), dtype=bool)
-    for i in range(count):
-        for j in range(swaps):
-            if (i, j) not in cells:
-                raise DomainError(f"{sidecar} is missing trace {i} swap {j}")
-            labels[i, j], interfered[i, j] = cells[(i, j)]
+    interfered = np.empty((count, swaps), dtype=bool)
+    for (i, j), (cond, flag) in cells.items():
+        labels[i, j], interfered[i, j] = cond, flag
     return TraceSet(traces, labels, interfered)

@@ -7,11 +7,14 @@ code shared with the implementations under test.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
+from scipy.ndimage import median_filter
 
+from nonce_lab.events import OpKind
 from nonce_lab.swap_impls import SwapKind
 
 
@@ -167,6 +170,23 @@ def expected_leak_delta(variant, word_count):
     return Fraction(0)
 
 
+def mul_run_lengths(kinds):
+    """Lengths of the maximal multiply/square runs in a recorder's kinds
+    column; any other event ends a run."""
+    mul_codes = {OpKind.FIELD_MUL.code, OpKind.FIELD_SQUARE.code}
+    runs = []
+    run = 0
+    for code in kinds:
+        if code in mul_codes:
+            run += 1
+        elif run:
+            runs.append(run)
+            run = 0
+    if run:
+        runs.append(run)
+    return runs
+
+
 def step_peak_groups(envelope, samples_per_event):
     """Multiplicities of the arithmetic peak groups in a step envelope.
 
@@ -233,3 +253,41 @@ def scipy_normalized_xcorr(envelope, template):
     variance = np.maximum(window_sq - window_sum**2 / width, 0.0)
     denominator = np.sqrt(variance) * float(np.linalg.norm(t))
     return numerator / np.maximum(denominator, 1e-12)
+
+
+def per_window_estimate(trace, model, windows, multiplier):
+    """Condition guesses and class-1 probabilities, one window at a time.
+
+    Cuts each aligned window as ``recover_nonce_bits`` does (ladder windows
+    anchored at their end, double-and-add windows at their start, both
+    clamped into the trace), takes its rectified median envelope, and
+    scores it with a likelihood ratio written out in plain numpy.
+    """
+    width = int(model.trained_on["feature_length"])
+    median = int(model.trained_on["median_samples"])
+    samples = trace.samples
+    conds, probabilities = [], []
+    for start, end in windows.spans:
+        if multiplier == "ladder":
+            hi = min(end, samples.size)
+            lo = hi - width
+            if lo < 0:
+                lo, hi = 0, width
+        else:
+            lo = max(start, 0)
+            hi = lo + width
+            if hi > samples.size:
+                lo, hi = samples.size - width, samples.size
+        envelope = median_filter(np.abs(samples[lo:hi]), size=median, mode="reflect")
+        x = envelope[model.poi]
+        distances = []
+        for mean in (model.mean0, model.mean1):
+            d = x - mean
+            if model.mode == "diag":
+                distances.append(np.sum(d * d / model.cov))
+            else:
+                distances.append(d @ np.linalg.solve(model.cov, d))
+        llr = 0.5 * (distances[0] - distances[1])
+        conds.append(int(llr > 0.0))
+        probabilities.append(1.0 / (1.0 + math.exp(-min(max(llr, -700.0), 700.0))))
+    return conds, probabilities

@@ -215,12 +215,18 @@ class TestSimulatePipeline:
             (2**32 - 1, 2**32 - 1, b"", None),
             (1, 1, b"trace_lengths=zz\n", None),
             (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,0,zz,0\n"),
+            (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,0,300,0\n"),
+            (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,-5,0,0\n"),
+            (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,1,0,0\n"),
         ],
         ids=[
             "non-utf8-meta",
             "header-beyond-file-size",
             "trace-lengths-not-int",
             "label-cell-not-int",
+            "label-cond-beyond-int8",
+            "label-negative-swap-index",
+            "label-cell-missing",
         ],
     )
     def test_corrupt_trace_file_is_input_error(

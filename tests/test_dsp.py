@@ -5,6 +5,7 @@ import pytest
 
 from nonce_lab.dsp import (
     FilterSpec,
+    _iteration_events,
     _kaiser_bandpass,
     _kaiserord,
     _normalized_xcorr,
@@ -19,10 +20,8 @@ from nonce_lab.events import EventRecorder
 from nonce_lab.ff_curve import (
     ProjectivePoint,
     Scalar,
-    ladder_step,
     montgomery_ladder,
     double_and_always_add,
-    reference_multiply,
 )
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 from nonce_lab.tracesim import (
@@ -239,11 +238,8 @@ def test_align_rejects_pure_noise(toy):
 
 
 def test_align_single_step_and_peak_groups(toy):
-    recorder = EventRecorder()
-    s = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    ladder_step(s, reference_multiply(2, s, toy), toy.generator, toy, recorder)
     cfg = SimConfig(noise_sigma=0.0)
-    trace = synthesize(recorder, cfg)
+    trace = synthesize(_iteration_events(toy, "ladder"), cfg)
     aligned = align_swaps(trace, toy, cfg)
     assert len(aligned.detected_pattern_positions) == 1
     envelope = rectified_envelope(trace.samples, 16)

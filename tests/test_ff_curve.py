@@ -14,18 +14,19 @@ from nonce_lab.ff_curve import (
     _add_body,
     _dbl_body,
     _make_ops,
+    _step_body,
     double_and_always_add,
     fast_double_multiply,
     fast_multiply,
     get_curve,
     inverse_mod,
-    ladder_step,
     montgomery_ladder,
     point_on_curve,
     reference_multiply,
 )
+from nonce_lab.swap_impls import SwapKind, SwapVariant
 
-from oracles import affine_add, affine_multiply
+from oracles import affine_add, affine_multiply, mul_run_lengths
 
 P521 = (1 << 521) - 1
 P255 = (1 << 255) - 19
@@ -133,7 +134,7 @@ def test_curve_rejects_wrong_order(toy):
 
 def test_builtin_curve_geometry(p521, p128, w255, toy):
     for curve in (p521, p128, w255, toy):
-        assert curve.coordinate_words == curve.word_count
+        assert curve.word_count == -(-curve.p.bit_length() // 64)
         g = ProjectivePoint.from_affine(*curve.generator, curve.field)
         assert point_on_curve(g, curve)
 
@@ -224,101 +225,84 @@ def test_add_matches_oracle_on_toy(i, j):
 
 
 def test_point_ops_reject_off_curve(toy):
-    G = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    G2 = reference_multiply(2, G, toy)
+    """The traced multipliers check the base point before recording."""
+    k = Scalar.for_curve(2, toy)
+    rec = EventRecorder()
     with pytest.raises(DomainError):
-        ladder_step(G, G2, (toy.gx, toy.gy + 1), toy)
+        montgomery_ladder(k, (toy.gx, toy.gy + 1), toy, recorder=rec)
+    bogus = ProjectivePoint.from_affine(toy.gx, (toy.gy + 1) % toy.p, toy.field)
+    with pytest.raises(DomainError):
+        double_and_always_add(k, bogus, toy, recorder=rec)
+    assert len(rec) == 0
 
 
 def test_traced_ops_emit_per_field_op(toy):
     rec = EventRecorder()
     G = ProjectivePoint.from_affine(*toy.generator, toy.field)
     point_double(G, toy, recorder=rec)
-    kinds = {e.op_kind for e in rec}
-    assert kinds <= {OpKind.FIELD_MUL, OpKind.FIELD_SQUARE, OpKind.FIELD_ADD_SUB}
-    assert [e.time_index for e in rec] == list(range(len(rec)))
+    arithmetic = {OpKind.FIELD_MUL, OpKind.FIELD_SQUARE, OpKind.FIELD_ADD_SUB}
+    assert set(rec.kinds) <= {kind.code for kind in arithmetic}
+    assert len(rec.leaks) == len(rec.conds) == len(rec)
+    assert set(rec.conds) == {None}
     n_dbl = len(rec)
     point_add(G, point_double(G, toy), toy, recorder=rec)
     assert len(rec) > n_dbl
 
 
 # ---------------------------------------------------------------------------
-# ladder_step
+# One ladder step: _step_body driven through the traced field ops
 
 
-def _x(P):
-    """Affine x of a ladder register, X/Z."""
-    return P.X * inverse_mod(P.Z, P.field.p) % P.field.p
+def ladder_step(s, r, curve, recorder=None):
+    """(r + s, 2r) on x-only (X, Z) pairs whose difference is the generator."""
+    ops = _make_ops(curve.field, recorder)
+    return _step_body(s, r, curve.gx, curve.a, curve.b, *ops)
+
+
+def _x(P, curve):
+    """Affine x of an x-only ladder register (X, Z); None when neutral."""
+    X, Z = P
+    return None if Z % curve.p == 0 else X * inverse_mod(Z, curve.p) % curve.p
 
 
 def test_ladder_step_from_initial_state(p521, p128, w255, toy):
     for curve in (p521, p128, w255, toy):
-        f = curve.field
-        G = ProjectivePoint.from_affine(*curve.generator, f)
+        G = ProjectivePoint.from_affine(*curve.generator, curve.field)
         G2 = reference_multiply(2, G, curve)
-        s2, r2 = ladder_step(G, G2, curve.generator, curve)
+        s2, r2 = ladder_step((G.X, G.Z), (G2.X, G2.Z), curve)
         for got, mult in ((s2, 3), (r2, 4)):
             want = reference_multiply(mult, G, curve).to_affine()
-            assert _x(got) == want[0], curve.name
+            assert _x(got, curve) == want[0], curve.name
 
 
 def test_ladder_step_group_fingerprint(toy):
     rec = EventRecorder()
-    G = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    G2 = reference_multiply(2, G, toy)
-    ladder_step(G, G2, toy.generator, toy, recorder=rec)
-    groups = []
-    run = 0
-    for e in rec:
-        if e.op_kind in (OpKind.FIELD_MUL, OpKind.FIELD_SQUARE):
-            run += 1
-        elif run:
-            groups.append(run)
-            run = 0
-    if run:
-        groups.append(run)
-    assert tuple(groups) == LADDER_STEP_MUL_GROUPS
+    montgomery_ladder(
+        Scalar(1, 1), toy.generator, toy, SwapVariant(SwapKind.PLAIN), rec
+    )
+    assert tuple(mul_run_lengths(rec.kinds)) == LADDER_STEP_MUL_GROUPS
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 65562))
 def test_ladder_step_advances_any_state(m):
     toy = get_curve("toy16")
-    f = toy.field
     Pm = affine_multiply(m, toy.generator, toy.p, toy.a)
     Pm1 = affine_multiply(m + 1, toy.generator, toy.p, toy.a)
     assume(Pm is not None and Pm1 is not None)
-    s = ProjectivePoint.from_affine(*Pm, f)
-    r = ProjectivePoint.from_affine(*Pm1, f)
-    s2, r2 = ladder_step(s, r, toy.generator, toy)
+    s2, r2 = ladder_step((Pm[0], 1), (Pm1[0], 1), toy)
     want_s = affine_multiply(2 * m + 1, toy.generator, toy.p, toy.a)
     want_r = affine_multiply(2 * m + 2, toy.generator, toy.p, toy.a)
-    if want_s is not None:
-        assert _x(s2) == want_s[0]
-    else:
-        assert s2.Z == 0
-    if want_r is not None:
-        assert _x(r2) == want_r[0]
-    else:
-        assert r2.Z == 0
-
-
-def test_ladder_step_rejects_inconsistent_state(toy):
-    f = toy.field
-    G = ProjectivePoint.from_affine(*toy.generator, f)
-    G5 = reference_multiply(5, G, toy)
-    with pytest.raises(DomainError):
-        ladder_step(G, G5, toy.generator, toy)
+    assert _x(s2, toy) == (None if want_s is None else want_s[0])
+    assert _x(r2, toy) == (None if want_r is None else want_r[0])
 
 
 def test_ladder_step_accepts_neutral_halves(toy):
-    f = toy.field
-    G = ProjectivePoint.from_affine(*toy.generator, f)
-    O = ProjectivePoint.neutral(f)
-    s2, r2 = ladder_step(O, G, toy.generator, toy)
-    assert _x(s2) == toy.gx
-    want = reference_multiply(2, G, toy).to_affine()
-    assert _x(r2) == want[0]
+    # On the x-line any (c : 0) with c != 0 is the neutral element.
+    s2, r2 = ladder_step((1, 0), (toy.gx, 1), toy)
+    assert _x(s2, toy) == toy.gx
+    G = ProjectivePoint.from_affine(*toy.generator, toy.field)
+    assert _x(r2, toy) == reference_multiply(2, G, toy).to_affine()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +362,6 @@ def test_multiplier_rejects_off_curve_base(toy):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 65562), st.sampled_from(["plain", "libgcrypt", "masked", "combined"]))
 def test_traced_paths_match_fast_paths(k, variant_name):
-    from nonce_lab.swap_impls import SwapKind, SwapVariant
-
     toy = get_curve("toy16")
     sc = Scalar.for_curve(k, toy)
     fast = montgomery_ladder(sc, toy.generator, toy)
@@ -400,38 +382,38 @@ def test_traced_paths_match_fast_paths(k, variant_name):
 
 def test_schedule_is_scalar_independent(toy):
     """Two scalars of equal width must produce identical op-kind streams."""
-    from nonce_lab.swap_impls import SwapKind, SwapVariant
-
     streams = []
     for k in (0b1011010011101000, 0b1111111111111110):
         rec = EventRecorder()
         montgomery_ladder(
             Scalar(k, 16), toy.generator, toy, SwapVariant(SwapKind.PLAIN), rec
         )
-        streams.append([e.op_kind for e in rec])
+        streams.append(rec.kinds)
     assert streams[0] == streams[1]
 
 
-def test_ladder_swap_conditions_are_bit_transitions(toy):
-    from nonce_lab.swap_impls import SwapKind, SwapVariant
+def mask_conds(rec):
+    """Swap condition of every MASK_COMPUTE event, one per swap."""
+    mask = OpKind.MASK_COMPUTE.code
+    return [cond for code, cond in zip(rec.kinds, rec.conds) if code == mask]
 
+
+def test_ladder_swap_conditions_are_bit_transitions(toy):
     k = 0b1011010011101000
     rec = EventRecorder()
     montgomery_ladder(Scalar(k, 16), toy.generator, toy, SwapVariant(SwapKind.PLAIN), rec)
-    conds = [e.ground_truth_cond for e in rec if e.op_kind is OpKind.MASK_COMPUTE]
+    conds = mask_conds(rec)
     bits = [(k >> i) & 1 for i in range(15, -1, -1)]
     want = [bits[0]] + [bits[i] ^ bits[i - 1] for i in range(1, 16)]
     assert conds == want
 
 
 def test_daa_swap_conditions_are_bits(toy):
-    from nonce_lab.swap_impls import SwapKind, SwapVariant
-
     k = 0b1011010011101000
     rec = EventRecorder()
     G = ProjectivePoint.from_affine(*toy.generator, toy.field)
     double_and_always_add(Scalar(k, 16), G, toy, SwapVariant(SwapKind.PLAIN), rec)
-    conds = [e.ground_truth_cond for e in rec if e.op_kind is OpKind.MASK_COMPUTE]
+    conds = mask_conds(rec)
     assert conds == [(k >> i) & 1 for i in range(15, -1, -1)]
 
 

@@ -380,7 +380,7 @@ class TestExperiment:
         )
         result = run_experiment(cfg)
         assert result.successes == 4
-        assert result.success_rate == 1.0
+        assert result.successes / result.config.trials == 1.0
         assert result.mean_seconds > 0.0
 
     def test_total_corruption_fails(self, toy):

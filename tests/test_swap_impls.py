@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonce_lab.errors import DomainError
-from nonce_lab.events import EventRecorder, OpKind, WORD_OP_KINDS
+from nonce_lab.events import KIND_BY_CODE, WORD_OP_KINDS, EventRecorder, OpKind
 from nonce_lab.ff_curve import ProjectivePoint, _rerandomize_triple, point_on_curve
 from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
 
@@ -79,43 +79,44 @@ def test_variant_validation():
 
 
 def _events(kind, a, b, cond, seed=7):
+    """One swap's recorded columns: op kinds, leak values, conditions."""
     rec = EventRecorder()
     ct_swap(SwapVariant(kind, rng_seed=seed), WordArrayPair(a, b), cond, rec)
-    return rec.events
+    return [KIND_BY_CODE[code] for code in rec.kinds], rec.leaks, rec.conds
 
 
 def test_plain_leaks_exact_values():
     a = [0b1011, 0xFF00FF00FF00FF00]
     b = [0b0001, 0x0F0F0F0F0F0F0F0F]
-    ev = _events(SwapKind.PLAIN, a, b, 1)
-    assert [e.op_kind for e in ev] == [
+    kinds, leaks, _ = _events(SwapKind.PLAIN, a, b, 1)
+    assert kinds == [
         OpKind.MASK_COMPUTE,
         OpKind.DELTA_COMPUTE, OpKind.STORE_A, OpKind.STORE_B,
         OpKind.DELTA_COMPUTE, OpKind.STORE_A, OpKind.STORE_B,
     ]
     hw = lambda x: bin(x).count("1")
-    assert ev[0].leak_value == 64
+    assert leaks[0] == 64
     for i in (0, 1):
         d = hw(a[i] ^ b[i])
-        assert [e.leak_value for e in ev[1 + 3 * i : 4 + 3 * i]] == [d, d, d]
+        assert leaks[1 + 3 * i : 4 + 3 * i] == [d, d, d]
 
-    ev0 = _events(SwapKind.PLAIN, a, b, 0)
-    assert all(e.leak_value == 0 for e in ev0)
+    _, leaks0, _ = _events(SwapKind.PLAIN, a, b, 0)
+    assert all(v == 0 for v in leaks0)
 
 
 def test_libgcrypt_leaks_selected_words():
     a = [0x1234_5678_9ABC_DEF0]
     b = [0xFED0_BA98_7654_3210]
     hw = lambda x: bin(x).count("1")
-    ev0 = _events(SwapKind.LIBGCRYPT, a, b, 0)
-    assert [e.op_kind for e in ev0[:2]] == [OpKind.MASK_COMPUTE, OpKind.INV_MASK_COMPUTE]
-    assert (ev0[0].leak_value, ev0[1].leak_value) == (0, 64)
+    kinds0, leaks0, _ = _events(SwapKind.LIBGCRYPT, a, b, 0)
+    assert kinds0[:2] == [OpKind.MASK_COMPUTE, OpKind.INV_MASK_COMPUTE]
+    assert leaks0[:2] == [0, 64]
     # selects resolve to (a, b): stores overwrite with identical values
-    assert [e.leak_value for e in ev0[2:]] == [hw(a[0]), hw(b[0]), 0, 0]
-    ev1 = _events(SwapKind.LIBGCRYPT, a, b, 1)
-    assert (ev1[0].leak_value, ev1[1].leak_value) == (64, 0)
+    assert leaks0[2:] == [hw(a[0]), hw(b[0]), 0, 0]
+    _, leaks1, _ = _events(SwapKind.LIBGCRYPT, a, b, 1)
+    assert leaks1[:2] == [64, 0]
     d = hw(a[0] ^ b[0])
-    assert [e.leak_value for e in ev1[2:]] == [hw(b[0]), hw(a[0]), d, d]
+    assert leaks1[2:] == [hw(b[0]), hw(a[0]), d, d]
 
 
 def test_masked_delta_is_blinded_but_stores_leak():
@@ -125,33 +126,28 @@ def test_masked_delta_is_blinded_but_stores_leak():
     # replay the variant's rng to predict the blinding word
     r = random.Random(seed).getrandbits(64)
     hw = lambda x: bin(x).count("1")
-    ev0 = _events(SwapKind.MASKED, a, b, 0, seed=seed)
-    kinds = [e.op_kind for e in ev0]
-    assert kinds == [OpKind.MASK_COMPUTE, OpKind.DELTA_COMPUTE, OpKind.STORE_A, OpKind.STORE_B]
-    assert ev0[0].leak_value == 0
-    assert ev0[1].leak_value == hw(r)
-    assert ev0[2].leak_value == 0 and ev0[3].leak_value == 0
-    ev1 = _events(SwapKind.MASKED, a, b, 1, seed=seed)
-    assert ev1[0].leak_value == 64
-    assert ev1[1].leak_value == hw((a[0] ^ b[0]) ^ r)
+    kinds0, leaks0, _ = _events(SwapKind.MASKED, a, b, 0, seed=seed)
+    assert kinds0 == [OpKind.MASK_COMPUTE, OpKind.DELTA_COMPUTE, OpKind.STORE_A, OpKind.STORE_B]
+    assert leaks0 == [0, hw(r), 0, 0]
+    _, leaks1, _ = _events(SwapKind.MASKED, a, b, 1, seed=seed)
     d = hw(a[0] ^ b[0])
-    assert ev1[2].leak_value == d and ev1[3].leak_value == d
+    assert leaks1 == [64, hw((a[0] ^ b[0]) ^ r), d, d]
 
 
 def test_combined_emits_two_mask_shares_and_bounded_leaks():
     a = [3, 5, 9]
     b = [12, 10, 6]
     for cond in (0, 1):
-        ev = _events(SwapKind.COMBINED, a, b, cond, seed=42)
-        masks = [e for e in ev if e.op_kind is OpKind.MASK_COMPUTE]
+        kinds, leaks, conds = _events(SwapKind.COMBINED, a, b, cond, seed=42)
+        masks = [v for k, v in zip(kinds, leaks) if k is OpKind.MASK_COMPUTE]
         assert len(masks) == 2
-        assert all(e.leak_value in (0, 64) for e in masks)
+        assert all(v in (0, 64) for v in masks)
         # share XOR must reconstruct the condition
-        assert (masks[0].leak_value == 64) ^ (masks[1].leak_value == 64) == bool(cond)
-        per_word = [e for e in ev if e.op_kind is not OpKind.MASK_COMPUTE]
+        assert (masks[0] == 64) ^ (masks[1] == 64) == bool(cond)
+        per_word = [v for k, v in zip(kinds, leaks) if k is not OpKind.MASK_COMPUTE]
         assert len(per_word) == 9
-        assert all(0 <= e.leak_value <= 64 for e in per_word)
-        assert all(e.ground_truth_cond == cond for e in ev)
+        assert all(0 <= v <= 64 for v in per_word)
+        assert all(c == cond for c in conds)
 
 
 def test_combined_first_order_moments_match():
@@ -166,9 +162,10 @@ def test_combined_first_order_moments_match():
         for cond in (0, 1):
             rec = EventRecorder()
             ct_swap(variant, WordArrayPair(a, b), cond, rec)
-            for e in rec:
-                sums[cond][e.op_kind] = sums[cond].get(e.op_kind, 0) + e.leak_value
-                counts[cond][e.op_kind] = counts[cond].get(e.op_kind, 0) + 1
+            for code, leak in zip(rec.kinds, rec.leaks):
+                kind = KIND_BY_CODE[code]
+                sums[cond][kind] = sums[cond].get(kind, 0) + leak
+                counts[cond][kind] = counts[cond].get(kind, 0) + 1
     for kind in sums[0]:
         m0 = sums[0][kind] / counts[0][kind]
         m1 = sums[1][kind] / counts[1][kind]
@@ -191,9 +188,10 @@ def test_word_leaks_never_exceed_word_bits():
             a = [rng.getrandbits(64) for _ in range(3)]
             b = [rng.getrandbits(64) for _ in range(3)]
             for cond in (0, 1):
-                for e in _events(kind, a, b, cond, seed=rng.randrange(1 << 20)):
-                    if e.op_kind in WORD_OP_KINDS:
-                        assert 0 <= e.leak_value <= 64
+                kinds, leaks, _ = _events(kind, a, b, cond, seed=rng.randrange(1 << 20))
+                for k, v in zip(kinds, leaks):
+                    if k in WORD_OP_KINDS:
+                        assert 0 <= v <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +206,7 @@ def test_expected_leak_delta_closed_form(kind, wc):
     def run(a, b, cond):
         rec = EventRecorder()
         ct_swap(variant, WordArrayPair(a, b), cond, rec)
-        return sum(e.leak_value for e in rec)
+        return sum(rec.leaks)
 
     measured = measured_leak_delta(run, wc, 6000, seed=wc * 1000 + 17)
     exact = expected_leak_delta(kind, wc)
@@ -230,4 +228,4 @@ def test_rerandomize_preserves_point(toy):
     assert fresh == G
     assert point_on_curve(fresh, toy)
     assert fresh.Z == scale
-    assert [e.op_kind for e in rec] == [OpKind.RERANDOMIZE] * 3
+    assert rec.kinds == [OpKind.RERANDOMIZE.code] * 3

@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from nonce_lab.errors import ConfigError, DomainError
-from nonce_lab.events import EventRecorder, OpKind, SwapTraceEvent
-from nonce_lab.ff_curve import (
-    ProjectivePoint,
-    Scalar,
-    ladder_step,
-    montgomery_ladder,
-    reference_multiply,
-)
+from nonce_lab.dsp import _iteration_events
+from nonce_lab.events import KIND_BY_CODE, EventRecorder, OpKind
+from nonce_lab.ff_curve import Scalar, montgomery_ladder
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 from nonce_lab.tracesim import (
     LeakageTrace,
@@ -40,14 +35,15 @@ def quiet_cfg(**overrides):
 
 
 def flat_events(count, kind=OpKind.FIELD_MUL, leak=0):
-    return [SwapTraceEvent(kind, leak, i) for i in range(count)]
+    rec = EventRecorder()
+    for _ in range(count):
+        rec.emit(kind, leak)
+    return rec
 
 
 def step_events(toy):
-    rec = EventRecorder()
-    s = ProjectivePoint.from_affine(*toy.generator, toy.field)
-    ladder_step(s, reference_multiply(2, s, toy), toy.generator, toy, rec)
-    return list(rec)
+    """The arithmetic events of one traced ladder iteration."""
+    return _iteration_events(toy, "ladder")
 
 
 def test_config_rejects_nyquist_violation():
@@ -83,16 +79,9 @@ def test_config_validation(kwargs):
         SimConfig(**kwargs)
 
 
-def test_hardware_scale_preserves_ratios():
-    desk = SimConfig()
-    hw = SimConfig.hardware_scale()
-    assert hw.f_mod / hw.f_cpu == pytest.approx(desk.f_mod / desk.f_cpu)
-    assert hw.sample_rate / hw.f_cpu == pytest.approx(desk.sample_rate / desk.f_cpu)
-
-
 def test_synthesize_rejects_empty_stream():
     with pytest.raises(DomainError):
-        synthesize([], quiet_cfg())
+        synthesize(EventRecorder(), quiet_cfg())
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -111,28 +100,14 @@ def test_recorder_rows_follow_emission_order():
     rec = EventRecorder()
     for kind, leak, cond in emitted:
         rec.emit(kind, leak, cond)
-    rows = [
-        (e.time_index, e.op_kind, e.leak_value, e.ground_truth_cond) for e in rec
-    ]
-    assert rows == [(i, *event) for i, event in enumerate(emitted)]
-    assert rec.events == list(rec) == [rec[i] for i in range(len(rec))]
-    assert rec[-1].time_index == 3
-    with pytest.raises(IndexError):
-        rec[4]
-    assert len(synthesize(rec, quiet_cfg()).markers) == len(emitted)
-
-
-def test_synthesize_reads_recorder_and_rows_alike(toy):
-    rec = EventRecorder()
-    montgomery_ladder(
-        Scalar.for_curve(0x51F3, toy), toy.generator, toy,
-        SwapVariant(SwapKind.MASKED, rng_seed=3), rec,
-    )
-    cfg = SimConfig(seed=11, interruption_prob=1.0)
-    a = synthesize(rec, cfg)
-    b = synthesize(list(rec), cfg)
-    assert np.array_equal(a.samples, b.samples)
-    assert a.markers == b.markers
+    assert len(rec) == 4
+    assert [KIND_BY_CODE[code] for code in rec.kinds] == [k for k, _, _ in emitted]
+    assert rec.leaks == [leak for _, leak, _ in emitted]
+    assert rec.conds == [cond for _, _, cond in emitted]
+    markers = synthesize(rec, quiet_cfg()).markers
+    assert len(markers) == len(emitted)
+    assert markers.kinds.tolist() == rec.kinds
+    assert markers.conds.tolist() == [-1, 1, 0, -1]
 
 
 @pytest.mark.parametrize(
@@ -207,7 +182,7 @@ def test_markers_tile_the_trace(toy):
     assert (mt.starts[1:] == mt.ends[:-1]).all()
     assert int(mt.ends[-1]) == trace.samples.size
     durations = mt.ends - mt.starts
-    kinds = [m.op_kind for m in mt]
+    kinds = [KIND_BY_CODE[code] for code in mt.kinds]
     for kind, dur in zip(kinds, durations):
         if kind in (OpKind.FIELD_MUL, OpKind.FIELD_SQUARE):
             assert dur == cfg.samples_per_event
@@ -260,10 +235,11 @@ def test_interference_flags_covered_markers(toy):
     burst_power = np.mean((noisy.samples[start:stop] - trace.samples[start:stop]) ** 2)
     assert burst_power > 20.0 * np.mean(trace.samples**2)
 
-    for before, after in zip(trace.markers, noisy.markers):
-        overlaps = before.start < stop and before.end > start
-        assert after.interfered == overlaps
-        assert not before.interfered
+    before, after = trace.markers, noisy.markers
+    for i in range(len(before)):
+        overlaps = before.starts[i] < stop and before.ends[i] > start
+        assert after.interfered[i] == overlaps
+        assert not before.interfered[i]
 
 
 @pytest.mark.parametrize("multiplier", ["ladder", "daa"])
