@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg
 
-from .dsp import AlignedSwapWindows, rectified_envelope
+from .dsp import AlignedSwapWindows, check_median_window, rectified_envelope
 from .errors import AlignmentError, ConfigError, DomainError, StatError
 from .tracesim import (
     LeakageTrace,
@@ -37,6 +37,8 @@ LEAK_THRESHOLD = 4.5
 # Keeps t finite when both classes have zero variance at a sample;
 # equal means then give t = 0 instead of 0/0.
 _VARIANCE_FLOOR = 1e-30
+
+_ENVELOPE_BLOCK_ROWS = 256  # rows per median-filter call in feature_matrix
 
 # Ridge added to the pooled covariance, as a fraction of its mean
 # variance, so regularization scales with the signal.
@@ -76,14 +78,14 @@ class NonceEstimate:
         return out
 
 
-def _as_matrix(data: TraceSet | np.ndarray | Sequence) -> np.ndarray:
+def _as_matrix(data: TraceSet | np.ndarray | Sequence, *, copy: bool = False) -> np.ndarray:
     if isinstance(data, TraceSet):
         sizes = {t.samples.size for t in data.traces}
         if len(sizes) != 1:
             raise DomainError("traces must share one length to form a matrix")
-        return np.stack([t.samples for t in data.traces]).astype(np.float64)
+        return np.stack([t.samples for t in data.traces]).astype(np.float64, copy=False)
     try:
-        matrix = np.asarray(data, dtype=np.float64)
+        matrix = np.array(data, dtype=np.float64, copy=True if copy else None)
     except ValueError as exc:
         raise DomainError("traces must share one length to form a matrix") from exc
     if matrix.ndim != 2:
@@ -111,10 +113,17 @@ def feature_matrix(
     window position, so windows are always reduced to envelopes before
     fitting or scoring.
     """
-    matrix = _as_matrix(data)
-    return np.stack(
-        [rectified_envelope(row, median_samples) for row in matrix]
-    )
+    matrix = _as_matrix(data, copy=True)
+    check_median_window(median_samples, matrix.shape[1])
+    # Each row carries its own reflected edges, so one filter call per block
+    # of rows equals one per row; blocks bound the padded copy's size, and
+    # each block's envelopes overwrite its rows of the private matrix.
+    pad = median_samples // 2
+    for lo in range(0, len(matrix), _ENVELOPE_BLOCK_ROWS):
+        block = np.pad(matrix[lo : lo + _ENVELOPE_BLOCK_ROWS], ((0, 0), (pad, pad)), "symmetric")
+        envelope = rectified_envelope(block.ravel(), median_samples).reshape(block.shape)
+        matrix[lo : lo + len(block)] = envelope[:, pad:-pad]
+    return matrix
 
 
 def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
@@ -145,16 +154,24 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
 
 
 def welch_t(data: TraceSet | np.ndarray, labels: Sequence) -> TTestResult:
-    """Two-class Welch t statistic at every sample point."""
+    """Two-class Welch t statistic at every sample point.
+
+    Computed over slabs of about 64 columns, so the class copies and the
+    variance temporaries stay small. A slab never has one column beside
+    wider ones (numpy would sum it pairwise, not row by row), so every
+    column gets the arithmetic of the whole matrix.
+    """
     matrix = _as_matrix(data)
-    class0, class1 = _class_split(matrix, labels)
-    n0, n1 = class0.shape[0], class1.shape[0]
-    if n0 < 2 or n1 < 2:
-        raise StatError("each class needs at least 2 traces")
-    delta = class0.mean(axis=0) - class1.mean(axis=0)
-    spread = class0.var(axis=0, ddof=1) / n0 + class1.var(axis=0, ddof=1) / n1
-    t = delta / np.sqrt(np.maximum(spread, _VARIANCE_FLOOR))
-    return TTestResult(t_values=t, n0=n0, n1=n1)
+    parts = []
+    for cols in np.array_split(matrix, max(1, -(-matrix.shape[1] // 64)), axis=1):
+        class0, class1 = _class_split(cols, labels)
+        n0, n1 = class0.shape[0], class1.shape[0]
+        if n0 < 2 or n1 < 2:
+            raise StatError("each class needs at least 2 traces")
+        delta = class0.mean(axis=0) - class1.mean(axis=0)
+        spread = class0.var(axis=0, ddof=1) / n0 + class1.var(axis=0, ddof=1) / n1
+        parts.append(delta / np.sqrt(np.maximum(spread, _VARIANCE_FLOOR)))
+    return TTestResult(t_values=np.concatenate(parts), n0=n0, n1=n1)
 
 
 def select_poi(result: TTestResult, count: int) -> np.ndarray:

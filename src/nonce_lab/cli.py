@@ -52,6 +52,7 @@ from .ecdsa import (
     parse_hex,
     read_private_key,
     read_signatures,
+    read_text,
     recover_private_key,
     sign,
     verify,
@@ -174,7 +175,7 @@ RunConfig.__doc__ = "Effective key=value configuration of one run."
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -340,7 +341,7 @@ def _window_level(trace_set: TraceSet, source: str) -> TraceSet:
 
 def _known_bits(path: str) -> list[int]:
     out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

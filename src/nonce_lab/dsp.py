@@ -179,16 +179,16 @@ def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
     )
 
 
+def check_median_window(window_samples: int, size: int) -> None:
+    """Reject a median window under 3 samples or wider than its input."""
+    if not 3 <= window_samples <= size:
+        raise ConfigError(f"median window of {window_samples} samples is outside [3, {size}]")
+
+
 def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
     """Absolute value followed by a reflect-padded sliding median."""
     samples = np.asarray(samples, dtype=np.float64)
-    if window_samples < 3:
-        raise ConfigError("median window must cover at least 3 samples")
-    if window_samples > samples.size:
-        raise ConfigError(
-            f"median window of {window_samples} samples exceeds the "
-            f"{samples.size}-sample input"
-        )
+    check_median_window(window_samples, samples.size)
     return ndimage.median_filter(
         np.abs(samples), size=window_samples, mode="reflect"
     )

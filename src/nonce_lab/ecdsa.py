@@ -163,13 +163,20 @@ def parse_hex(text: str, where: str) -> int:
         raise DomainError(f"{where}: {text!r} is not a hex integer") from None
 
 
+def read_text(path: str | Path) -> str:
+    """A text input file's contents; non-UTF-8 bytes are a DomainError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text ({exc})") from None
+
+
 def write_private_key(path: str | Path, key: KeyPair) -> None:
     Path(path).write_text(f"d={key.d:x}\n")
 
 
 def read_private_key(path: str | Path, curve: CurveParams) -> KeyPair:
-    text = Path(path).read_text()
-    for raw in text.splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -188,7 +195,7 @@ def write_signatures(path: str | Path, sigs: list[Signature]) -> None:
 
 def read_signatures(path: str | Path) -> list[Signature]:
     sigs: list[Signature] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -57,9 +57,9 @@ class EventRecorder:
     (a Hamming weight or distance of whatever the operation touched) and
     ``conds`` its swap condition, None for plain arithmetic; an event's
     time index is its position. The conditions exist so simulated traces
-    can be labeled; a classifier must never read them. ``emit`` builds no
-    object and checks nothing, since ``synthesize`` validates the columns
-    once.
+    can be labeled; a classifier must never read them. ``emit`` and
+    ``extend`` build no object and check nothing, since ``synthesize``
+    validates the columns once.
     """
 
     __slots__ = ("kinds", "leaks", "conds")
@@ -73,6 +73,12 @@ class EventRecorder:
         self.kinds.append(kind.code)
         self.leaks.append(leak_value)
         self.conds.append(cond)
+
+    def extend(self, kinds: tuple[int, ...], leaks: list[int], cond: int | None) -> None:
+        """Append events sharing one condition; ``kinds`` holds codes."""
+        self.kinds += kinds
+        self.leaks += leaks
+        self.conds += [cond] * len(leaks)
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -35,10 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, DomainError, NonInvertible
-from .events import EventRecorder, OpKind
-
-WORD_BITS = 64
-WORD_MASK = (1 << WORD_BITS) - 1
+from .events import WORD_BITS, EventRecorder, OpKind
 
 # Sizes of the consecutive multiply/square runs inside one ladder step
 # (``_step_body``); the aligner matches the envelope these runs make.
@@ -634,32 +631,6 @@ def fast_double_multiply(
     return _affine_point(_to_affine(P, curve), curve)
 
 
-def _words_of(value: int, count: int) -> list[int]:
-    return [(value >> (WORD_BITS * i)) & WORD_MASK for i in range(count)]
-
-
-def _words_to_int(words) -> int:
-    v = 0
-    for i, w in enumerate(words):
-        v |= w << (WORD_BITS * i)
-    return v
-
-
-def _triple_words(triple: tuple[int, int, int], count: int) -> list[int]:
-    out: list[int] = []
-    for coord in triple:
-        out.extend(_words_of(coord, count))
-    return out
-
-
-def _words_triple(words, count: int) -> tuple[int, int, int]:
-    return (
-        _words_to_int(words[:count]),
-        _words_to_int(words[count : 2 * count]),
-        _words_to_int(words[2 * count :]),
-    )
-
-
 def _rerandomize_triple(triple, scale, red, emit):
     """Scale a projective representative by a nonzero factor, emitting one
     event per refreshed coordinate."""
@@ -732,12 +703,10 @@ def montgomery_ladder(
         if combined:
             A = _rerandomize_triple(A, rng.randrange(1, p), red, recorder.emit)
             B = _rerandomize_triple(B, rng.randrange(1, p), red, recorder.emit)
-        pair = swap_impls.WordArrayPair(
-            _triple_words(A, wc), _triple_words(B, wc)
+        swapped = swap_impls.ct_swap(
+            swap_impl, swap_impls.WordArrayPair(A, B, wc), cond, recorder
         )
-        swapped = swap_impls.ct_swap(swap_impl, pair, cond, recorder)
-        A = _words_triple(swapped.a, wc)
-        B = _words_triple(swapped.b, wc)
+        A, B = swapped.a, swapped.b
         (bx, bz), (ax, az) = _step_body(
             (B[0], B[2]), (A[0], A[2]), xb, curve.a, curve.b, mul, sq, add, sub, shl
         )
@@ -798,10 +767,10 @@ def double_and_always_add(
         if combined:
             R = _rerandomize_triple(R, rng.randrange(1, p), red, recorder.emit)
             T = _rerandomize_triple(T, rng.randrange(1, p), red, recorder.emit)
-        pair = swap_impls.WordArrayPair(_triple_words(R, wc), _triple_words(T, wc))
-        swapped = swap_impls.ct_swap(swap_impl, pair, k.bit(i), recorder)
-        R = _words_triple(swapped.a, wc)
-        T = _words_triple(swapped.b, wc)
+        swapped = swap_impls.ct_swap(
+            swap_impl, swap_impls.WordArrayPair(R, T, wc), k.bit(i), recorder
+        )
+        R, T = swapped.a, swapped.b
     return ProjectivePoint(*R, curve.field)
 
 

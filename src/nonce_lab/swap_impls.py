@@ -24,6 +24,7 @@ overwritten ones, which is the usual first-order model for EM amplitude.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum, unique
@@ -64,26 +65,58 @@ class SwapVariant:
 
 @dataclass(frozen=True, slots=True)
 class WordArrayPair:
-    """Two equal-length arrays of 64-bit words, the operands of one swap."""
+    """Two equal-length registers, the operands of one swap: tuples of
+    coordinates ``word_count`` 64-bit words wide, whose words the swap walks
+    least significant first, coordinate after coordinate."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
+    word_count: int
 
-    def __init__(self, a, b) -> None:
+    def __init__(self, a, b, word_count: int = 1) -> None:
         a = tuple(a)
         b = tuple(b)
         if len(a) != len(b):
             raise DomainError(f"array lengths differ: {len(a)} vs {len(b)}")
         if not a:
             raise DomainError("arrays must be non-empty")
+        if not isinstance(word_count, int) or word_count < 1:
+            raise DomainError(f"word_count must be a positive int, got {word_count!r}")
+        limit = 1 << (WORD_BITS * word_count)
         for w in a + b:
-            if not 0 <= w <= WORD_MASK:
-                raise DomainError(f"word {w:#x} outside 64-bit range")
+            if not 0 <= w < limit:
+                raise DomainError(f"word {w:#x} outside {WORD_BITS * word_count}-bit range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "word_count", word_count)
 
-    def __len__(self) -> int:
-        return len(self.a)
+
+@functools.cache
+def _burst_kinds(kind: SwapKind, words: int) -> tuple[int, ...]:
+    """OpKind codes of one swap burst: the mask(s), one group per word, and
+    the combined variant's second share."""
+    kinds = (OpKind.MASK_COMPUTE, OpKind.DELTA_COMPUTE, OpKind.STORE_A, OpKind.STORE_B)
+    m, d, sa, sb = (k.code for k in kinds)
+    if kind is SwapKind.LIBGCRYPT:
+        return (m, OpKind.INV_MASK_COMPUTE.code) + (d, d, sa, sb) * words
+    return (m,) + (d, sa, sb) * words + ((m,) if kind is SwapKind.COMBINED else ())
+
+
+def _words(coords, shifts) -> list[int]:
+    return [(c >> s) & WORD_MASK for c in coords for s in shifts]
+
+
+def _weights(coords, shifts) -> list[int]:
+    return [((c >> s) & WORD_MASK).bit_count() for c in coords for s in shifts]
+
+
+def _burst(head: tuple[int, ...], columns: tuple[list[int], ...]) -> list[int]:
+    """``head``, then one group per word holding its value from each column."""
+    leaks = [0] * (len(head) + len(columns) * len(columns[0]))
+    leaks[: len(head)] = head
+    for j, column in enumerate(columns):
+        leaks[len(head) + j :: len(columns)] = column
+    return leaks
 
 
 def ct_swap(
@@ -94,94 +127,64 @@ def ct_swap(
 ) -> WordArrayPair:
     """Swap ``pair`` when ``cond`` is 1, in constant operation count.
 
-    Returns a new pair; the input is never mutated. With a recorder, emits
-    the variant's event sequence with ``ground_truth_cond`` set on every
-    event. All variants produce identical outputs for identical inputs;
-    only the event streams differ.
+    Returns a new pair; the input is never mutated. With a recorder, appends
+    the variant's per-word event burst, ``cond`` on every event, in one go.
+    All variants produce identical outputs for identical inputs; only the
+    event streams differ.
     """
     if cond not in (0, 1):
         raise DomainError(f"swap condition must be 0 or 1, got {cond!r}")
     if not isinstance(pair, WordArrayPair):
         raise DomainError(f"expected WordArrayPair, got {type(pair).__name__}")
 
-    emit = recorder.emit if recorder is not None else None
-    a = list(pair.a)
-    b = list(pair.b)
+    a, b, wc = pair.a, pair.b, pair.word_count
+    # Each coordinate moves by its masked XOR delta: a ^ b on a swap, else 0.
+    deltas = [u ^ v for u, v in zip(a, b)] if cond else [0] * len(a)
+    new_a, new_b = (b, a) if cond else (a, b)
     kind = variant.kind
     rng = variant.rng
-
-    if kind is SwapKind.PLAIN:
-        mask = (-cond) & WORD_MASK
-        if emit:
-            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
-        for i in range(len(a)):
-            delta = (a[i] ^ b[i]) & mask
-            na = a[i] ^ delta
-            nb = b[i] ^ delta
-            if emit:
-                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
-                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
-                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
-            a[i], b[i] = na, nb
-
-    elif kind is SwapKind.LIBGCRYPT:
-        mask = (-cond) & WORD_MASK
-        inv = mask ^ WORD_MASK
-        if emit:
-            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
-            emit(OpKind.INV_MASK_COMPUTE, inv.bit_count(), cond)
-        for i in range(len(a)):
-            sel_a = (a[i] & inv) | (b[i] & mask)
-            sel_b = (a[i] & mask) | (b[i] & inv)
-            if emit:
-                emit(OpKind.DELTA_COMPUTE, sel_a.bit_count(), cond)
-                emit(OpKind.DELTA_COMPUTE, sel_b.bit_count(), cond)
-                emit(OpKind.STORE_A, (a[i] ^ sel_a).bit_count(), cond)
-                emit(OpKind.STORE_B, (b[i] ^ sel_b).bit_count(), cond)
-            a[i], b[i] = sel_a, sel_b
-
-    elif kind is SwapKind.MASKED:
-        mask = (-cond) & WORD_MASK
-        if emit:
-            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
-        for i in range(len(a)):
-            r = rng.getrandbits(WORD_BITS)
-            delta = ((a[i] ^ b[i]) & mask) ^ r
-            na = (a[i] ^ delta) ^ r
-            nb = (b[i] ^ delta) ^ r
-            if emit:
-                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
-                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
-                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
-            a[i], b[i] = na, nb
-
-    else:  # SwapKind.COMBINED
+    if kind is SwapKind.MASKED:
+        # A fresh blinding word per word: a coordinate-wide draw yields the
+        # 64-bit draws least significant first.
+        blinded = [d ^ rng.getrandbits(WORD_BITS * wc) for d in deltas]
+    elif kind is SwapKind.COMBINED:
         share1 = rng.getrandbits(1)
-        share2 = cond ^ share1
-        if emit:
-            # The second share's selector resolves in a later stage, after
-            # the word passes, so no short integration window ever sees
-            # both shares at once.
-            emit(OpKind.MASK_COMPUTE, ((-share1) & WORD_MASK).bit_count(), cond)
-        order = list(range(len(a)))
+        order = list(range(len(a) * wc))
         rng.shuffle(order)
-        new_a = list(a)
-        new_b = list(b)
-        for i in order:
-            r = rng.getrandbits(WORD_BITS)
-            # Share-wise processing never materializes the bare delta; its
-            # observable image is the blinded value.
-            blinded = ((a[i] ^ b[i]) if cond else 0) ^ r
-            na, nb = (b[i], a[i]) if cond else (a[i], b[i])
-            if emit:
-                emit(OpKind.DELTA_COMPUTE, blinded.bit_count(), cond)
-                # Write-back passes through a randomized representative, so
-                # the bus sees old vs fresh-random, not old vs new.
-                emit(OpKind.STORE_A, (a[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
-                emit(OpKind.STORE_B, (b[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
-            new_a[i], new_b[i] = na, nb
-        a, b = new_a, new_b
-        if emit:
-            emit(OpKind.MASK_COMPUTE, ((-share2) & WORD_MASK).bit_count(), cond)
+        if recorder is None:  # only the blinding words are drawn
+            rng.getrandbits(WORD_BITS * len(order))
+    if recorder is None:
+        return WordArrayPair(new_a, new_b, wc)
 
-    return WordArrayPair(a, b)
+    shifts = range(0, WORD_BITS * wc, WORD_BITS)
+    mask_weight = WORD_BITS * cond
+    d = _weights(deltas, shifts) if cond else [0] * (len(a) * wc)
+    if kind is SwapKind.PLAIN:
+        leaks = _burst((mask_weight,), (d, d, d))
+    elif kind is SwapKind.LIBGCRYPT:
+        # The AND/OR selects resolve to the output words; the stores then
+        # overwrite each old word with its selected one.
+        selected = (_weights(new_a, shifts), _weights(new_b, shifts))
+        leaks = _burst((mask_weight, WORD_BITS - mask_weight), (*selected, d, d))
+    elif kind is SwapKind.MASKED:
+        leaks = _burst((mask_weight,), (_weights(blinded, shifts), d, d))
+    else:  # SwapKind.COMBINED
+        # The second share's selector resolves in a later stage, after the
+        # word passes, so no short integration window ever sees both shares
+        # at once.
+        leaks = [WORD_BITS * share1]
+        delta_words, a_words, b_words = (_words(x, shifts) for x in (deltas, a, b))
+        for i in order:
+            # Per word, three 64-bit draws in one: the blinding word, then the
+            # two randomized representatives the write-backs pass through, so
+            # the bus sees old vs fresh-random, not old vs new. Share-wise
+            # processing never materializes the bare delta.
+            r = rng.getrandbits(3 * WORD_BITS)
+            leaks += (
+                ((delta_words[i] ^ r) & WORD_MASK).bit_count(),
+                ((a_words[i] ^ (r >> WORD_BITS)) & WORD_MASK).bit_count(),
+                (b_words[i] ^ (r >> 2 * WORD_BITS)).bit_count(),
+            )
+        leaks.append(WORD_BITS * (cond ^ share1))
+    recorder.extend(_burst_kinds(kind, len(a) * wc), leaks, cond)
+    return WordArrayPair(new_a, new_b, wc)

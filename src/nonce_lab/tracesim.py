@@ -12,6 +12,8 @@ the analysis pipeline has to cope with on real captures.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ import struct
 
 import numpy as np
 
+from .ecdsa import read_text
 from .errors import ConfigError, DomainError
 from .events import (
     KIND_BY_CODE,
@@ -35,6 +38,7 @@ from .ff_curve import (
     ProjectivePoint,
     Scalar,
     double_and_always_add,
+    fast_multiply,
     montgomery_ladder,
     reference_multiply,
 )
@@ -274,6 +278,17 @@ def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
     return list(mt._windows)
 
 
+@functools.lru_cache(maxsize=1)
+def _carrier(n: int, sample_rate: float, f_mod: float) -> np.ndarray:
+    """cos(2*pi*f_mod*i/sample_rate) for i < n, read-only; the traces of
+    one run share a length, so one entry serves them all."""
+    carrier = np.arange(n, dtype=np.float64) / sample_rate
+    carrier *= 2.0 * np.pi * f_mod
+    np.cos(carrier, out=carrier)
+    carrier.flags.writeable = False
+    return carrier
+
+
 def synthesize(
     events: EventRecorder,
     cfg: SimConfig,
@@ -328,10 +343,8 @@ def synthesize(
 
     # In place: each temporary of a full trace's length raises peak memory.
     n = envelope.size
-    samples = np.arange(n, dtype=np.float64) / cfg.sample_rate
-    samples *= 2.0 * np.pi * cfg.f_mod
-    np.cos(samples, out=samples)
-    samples *= envelope
+    samples = envelope
+    samples *= _carrier(n, cfg.sample_rate, cfg.f_mod)
     if cfg.noise_sigma > 0.0:
         samples += rng.normal(0.0, cfg.noise_sigma, n)
 
@@ -490,14 +503,16 @@ def generate_training_set(
         chosen_class = int(rng.integers(0, 2))
         nonce = swap_nonce if chosen_class else hold_nonce
         base_exp = 1 + _random_below(rng, curve.n - 1)
-        generator = ProjectivePoint.from_affine(*curve.generator, curve.field)
-        base = reference_multiply(base_exp, generator, curve)
         variant_inst = SwapVariant(kind, rng_seed=int(rng.integers(0, 2**63)))
         recorder = EventRecorder()
         if multiplier == "ladder":
-            affine = base.to_affine()
-            montgomery_ladder(nonce, affine, curve, variant_inst, recorder)
+            # The ladder reads only the affine base: the untraced core serves.
+            base = fast_multiply(base_exp, curve.generator, curve).to_affine()
+            montgomery_ladder(nonce, base, curve, variant_inst, recorder)
         else:
+            # Double-and-add's events depend on this projective representative.
+            generator = ProjectivePoint.from_affine(*curve.generator, curve.field)
+            base = reference_multiply(base_exp, generator, curve)
             double_and_always_add(nonce, base, curve, variant_inst, recorder)
         trace = synthesize(
             recorder,
@@ -692,19 +707,18 @@ def read_trace_set(path: Path | str) -> TraceSet:
     if not sidecar.exists():
         return TraceSet(traces, np.zeros((count, 0), dtype=np.int8))
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    with open(sidecar, newline="") as fh:
-        reader = csv.reader(fh)
-        header_row = next(reader, None)
-        if header_row != ["trace_index", "swap_index", "cond", "interfered"]:
-            raise DomainError(f"{sidecar} has an unexpected header")
-        for row in reader:
-            try:
-                i, j, cond, flag = (int(v) for v in row)
-            except ValueError:
-                raise DomainError(f"{sidecar} has a malformed row: {row!r}") from None
-            if not (0 <= i < count and j >= 0 and cond in (0, 1) and flag in (0, 1)):
-                raise DomainError(f"{sidecar} has an out-of-range row: {row!r}")
-            cells[(i, j)] = (cond, flag)
+    reader = csv.reader(io.StringIO(read_text(sidecar), newline=""))
+    header_row = next(reader, None)
+    if header_row != ["trace_index", "swap_index", "cond", "interfered"]:
+        raise DomainError(f"{sidecar} has an unexpected header")
+    for row in reader:
+        try:
+            i, j, cond, flag = (int(v) for v in row)
+        except ValueError:
+            raise DomainError(f"{sidecar} has a malformed row: {row!r}") from None
+        if not (0 <= i < count and j >= 0 and cond in (0, 1) and flag in (0, 1)):
+            raise DomainError(f"{sidecar} has an out-of-range row: {row!r}")
+        cells[(i, j)] = (cond, flag)
     if not cells:
         return TraceSet(traces, np.zeros((count, 0), dtype=np.int8))
     # Every key lies in [0, count) x [0, swaps), so the table is complete

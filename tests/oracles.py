@@ -14,8 +14,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import median_filter
 
-from nonce_lab.events import OpKind
-from nonce_lab.swap_impls import SwapKind
+from nonce_lab.errors import DomainError
+from nonce_lab.events import WORD_BITS, EventRecorder, OpKind
+from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair
+
+WORD_MASK = (1 << WORD_BITS) - 1
 
 
 def affine_add(P, Q, p, a):
@@ -291,3 +294,101 @@ def per_window_estimate(trace, model, windows, multiplier):
         conds.append(int(llr > 0.0))
         probabilities.append(1.0 / (1.0 + math.exp(-min(max(llr, -700.0), 700.0))))
     return conds, probabilities
+
+
+def word_ct_swap(
+    variant: SwapVariant,
+    pair: WordArrayPair,
+    cond: int,
+    recorder: EventRecorder | None = None,
+) -> WordArrayPair:
+    """The word-by-word ``ct_swap``, one ``emit`` per event: ``pair`` holds
+    one 64-bit word per coordinate. The package's version works on whole
+    multi-word coordinates and must match this one event for event and
+    draw for draw."""
+    if cond not in (0, 1):
+        raise DomainError(f"swap condition must be 0 or 1, got {cond!r}")
+    if not isinstance(pair, WordArrayPair):
+        raise DomainError(f"expected WordArrayPair, got {type(pair).__name__}")
+
+    emit = recorder.emit if recorder is not None else None
+    a = list(pair.a)
+    b = list(pair.b)
+    kind = variant.kind
+    rng = variant.rng
+
+    if kind is SwapKind.PLAIN:
+        mask = (-cond) & WORD_MASK
+        if emit:
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
+        for i in range(len(a)):
+            delta = (a[i] ^ b[i]) & mask
+            na = a[i] ^ delta
+            nb = b[i] ^ delta
+            if emit:
+                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
+            a[i], b[i] = na, nb
+
+    elif kind is SwapKind.LIBGCRYPT:
+        mask = (-cond) & WORD_MASK
+        inv = mask ^ WORD_MASK
+        if emit:
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
+            emit(OpKind.INV_MASK_COMPUTE, inv.bit_count(), cond)
+        for i in range(len(a)):
+            sel_a = (a[i] & inv) | (b[i] & mask)
+            sel_b = (a[i] & mask) | (b[i] & inv)
+            if emit:
+                emit(OpKind.DELTA_COMPUTE, sel_a.bit_count(), cond)
+                emit(OpKind.DELTA_COMPUTE, sel_b.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ sel_a).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ sel_b).bit_count(), cond)
+            a[i], b[i] = sel_a, sel_b
+
+    elif kind is SwapKind.MASKED:
+        mask = (-cond) & WORD_MASK
+        if emit:
+            emit(OpKind.MASK_COMPUTE, mask.bit_count(), cond)
+        for i in range(len(a)):
+            r = rng.getrandbits(WORD_BITS)
+            delta = ((a[i] ^ b[i]) & mask) ^ r
+            na = (a[i] ^ delta) ^ r
+            nb = (b[i] ^ delta) ^ r
+            if emit:
+                emit(OpKind.DELTA_COMPUTE, delta.bit_count(), cond)
+                emit(OpKind.STORE_A, (a[i] ^ na).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ nb).bit_count(), cond)
+            a[i], b[i] = na, nb
+
+    else:  # SwapKind.COMBINED
+        share1 = rng.getrandbits(1)
+        share2 = cond ^ share1
+        if emit:
+            # The second share's selector resolves in a later stage, after
+            # the word passes, so no short integration window ever sees
+            # both shares at once.
+            emit(OpKind.MASK_COMPUTE, ((-share1) & WORD_MASK).bit_count(), cond)
+        order = list(range(len(a)))
+        rng.shuffle(order)
+        new_a = list(a)
+        new_b = list(b)
+        for i in order:
+            r = rng.getrandbits(WORD_BITS)
+            # Share-wise processing never materializes the bare delta; its
+            # observable image is the blinded value.
+            blinded = ((a[i] ^ b[i]) if cond else 0) ^ r
+            na, nb = (b[i], a[i]) if cond else (a[i], b[i])
+            if emit:
+                emit(OpKind.DELTA_COMPUTE, blinded.bit_count(), cond)
+                # Write-back passes through a randomized representative, so
+                # the bus sees old vs fresh-random, not old vs new.
+                emit(OpKind.STORE_A, (a[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
+                emit(OpKind.STORE_B, (b[i] ^ rng.getrandbits(WORD_BITS)).bit_count(), cond)
+            new_a[i], new_b[i] = na, nb
+        a, b = new_a, new_b
+        if emit:
+            emit(OpKind.MASK_COMPUTE, ((-share2) & WORD_MASK).bit_count(), cond)
+
+    return WordArrayPair(a, b)

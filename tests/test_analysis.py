@@ -22,7 +22,7 @@ from nonce_lab.analysis import (
     welch_t,
     write_model,
 )
-from nonce_lab.dsp import align_swaps
+from nonce_lab.dsp import align_swaps, rectified_envelope
 from nonce_lab.errors import AlignmentError, ConfigError, DomainError, StatError
 from nonce_lab.events import EventRecorder
 from nonce_lab.ff_curve import ProjectivePoint, Scalar, double_and_always_add, montgomery_ladder
@@ -75,6 +75,19 @@ def test_welch_is_antisymmetric_under_relabeling():
     flipped = welch_t(x, 1 - y)
     assert np.array_equal(forward.t_values, -flipped.t_values)
     assert (forward.n0, forward.n1) == (flipped.n1, flipped.n0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 129, 656])
+def test_welch_by_column_slabs_equals_whole_matrix(width):
+    """Bit for bit the statistic of whole class matrices, including a
+    column left alone in numpy's pairwise summation."""
+    rng = np.random.default_rng(width)
+    x = rng.normal(0.0, 1.0, (300, width)) * rng.uniform(0.1, 1e3, (300, 1))
+    y = (rng.random(300) < 0.2).astype(int)
+    class0, class1 = x[y == 0], x[y == 1]
+    spread = class0.var(axis=0, ddof=1) / len(class0) + class1.var(axis=0, ddof=1) / len(class1)
+    expected = (class0.mean(axis=0) - class1.mean(axis=0)) / np.sqrt(spread)
+    assert np.array_equal(welch_t(x, y).t_values, expected)
 
 
 def test_welch_keeps_degenerate_variance_finite():
@@ -278,6 +291,30 @@ def test_feature_matrix_requires_uniform_length():
     ragged = [windows.traces[0].samples, windows.traces[1].samples[:-8]]
     with pytest.raises(DomainError):
         feature_matrix(np.array(ragged, dtype=object), 16)
+
+
+@pytest.mark.parametrize("median_samples", [3, 4, 5, 16, 17])
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+def test_feature_matrix_equals_per_row_envelopes(rows, median_samples):
+    """Row blocks, each row padded by its own edges, give bit for bit the
+    per-row filter, on both sides of every block boundary."""
+    rng = np.random.default_rng(rows * 100 + median_samples)
+    matrix = rng.normal(0.0, 1.0, (rows, 37))
+    matrix[:, :5] = rng.integers(-3, 4, (rows, 5))  # ties at the left edge
+    before = matrix.copy()
+    expected = np.stack([rectified_envelope(row, median_samples) for row in matrix])
+    got = feature_matrix(matrix, median_samples)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(matrix, before)  # the input is left alone
+
+
+def test_feature_matrix_rejects_a_window_wider_than_a_row():
+    matrix = np.ones((300, 20))
+    feature_matrix(matrix, 20)
+    for bad in (21, 2):
+        with pytest.raises(ConfigError):
+            feature_matrix(matrix, bad)
 
 
 def test_poi_fall_inside_swap_windows(toy):

@@ -113,6 +113,12 @@ class TestConfigResolution:
         assert run_cli("keygen", "--config", str(path)) == 1
         assert "error: config:" in capsys.readouterr().err
 
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"seed": 1, "curve": "\xff"}')
+        assert run_cli("keygen", "--config", str(path)) == 1
+        assert_one_error_line(capsys, "config")
+
     def test_derive_seed_is_stable_and_labeled(self):
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(1, "b")
@@ -357,6 +363,22 @@ class TestRecoverCommand:
         (tmp_path / "known").write_text(f"a={nonce.k.value % 16:x}\n")
         text = (tmp_path / bad_file).read_text()
         (tmp_path / bad_file).write_text(text.replace("=", "=zz", 1))
+        assert run_cli(
+            "recover", "--signatures", tmp_path / "signatures",
+            "--known", tmp_path / "known", "--key", tmp_path / "key.txt",
+            "--leak-bits", 4, "--curve", "toy16", "--out", tmp_path / "rec",
+        ) == 1
+        assert_one_error_line(capsys, "input")
+
+    @pytest.mark.parametrize("bad_file", ["signatures", "known", "key.txt"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, toy, capsys, bad_file):
+        rng = random.Random(14)
+        key = keygen(toy, rng)
+        write_private_key(tmp_path / "key.txt", key)
+        sig, nonce = sign(55, key, rng)
+        write_signatures(tmp_path / "signatures", [sig])
+        (tmp_path / "known").write_text(f"a={nonce.k.value % 16:x}\n")
+        (tmp_path / bad_file).write_bytes(b"\xff" + (tmp_path / bad_file).read_bytes())
         assert run_cli(
             "recover", "--signatures", tmp_path / "signatures",
             "--known", tmp_path / "known", "--key", tmp_path / "key.txt",

@@ -9,7 +9,7 @@ from nonce_lab.events import KIND_BY_CODE, WORD_OP_KINDS, EventRecorder, OpKind
 from nonce_lab.ff_curve import ProjectivePoint, _rerandomize_triple, point_on_curve
 from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
 
-from oracles import expected_leak_delta, measured_leak_delta
+from oracles import expected_leak_delta, measured_leak_delta, word_ct_swap
 
 WORDS = st.integers(0, (1 << 64) - 1)
 
@@ -45,6 +45,38 @@ def test_double_swap_is_identity(ab, kind, cond):
     assert twice.a == pair.a and twice.b == pair.b
 
 
+def _split(coords, word_count):
+    return [(c >> (64 * i)) & ((1 << 64) - 1) for c in coords for i in range(word_count)]
+
+
+@pytest.mark.parametrize("word_count", [1, 2, 9])
+@pytest.mark.parametrize("cond", [0, 1])
+@pytest.mark.parametrize("kind", list(SwapKind))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), traced=st.booleans())
+def test_whole_register_swap_matches_word_oracle(kind, cond, word_count, data, seed, traced):
+    """Outputs, all three event columns and the RNG state after the call
+    equal the word-by-word oracle's on the same registers split into words."""
+    coords = st.integers(0, (1 << (64 * word_count)) - 1)
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(st.lists(coords, min_size=n, max_size=n))
+    b = data.draw(st.lists(coords, min_size=n, max_size=n))
+    variant, oracle_variant = SwapVariant(kind, rng_seed=seed), SwapVariant(kind, rng_seed=seed)
+    rec, oracle_rec = (EventRecorder(), EventRecorder()) if traced else (None, None)
+
+    out = ct_swap(variant, WordArrayPair(a, b, word_count), cond, rec)
+    words = WordArrayPair(_split(a, word_count), _split(b, word_count))
+    expected = word_ct_swap(oracle_variant, words, cond, oracle_rec)
+    assert _split(out.a, word_count) == list(expected.a)
+    assert _split(out.b, word_count) == list(expected.b)
+    assert out.word_count == word_count
+    if traced:
+        assert (rec.kinds, rec.leaks, rec.conds) == (
+            oracle_rec.kinds, oracle_rec.leaks, oracle_rec.conds
+        )
+    assert variant.rng.getstate() == oracle_variant.rng.getstate()
+
+
 def test_input_pair_is_not_mutated():
     pair = WordArrayPair([1, 2], [3, 4])
     ct_swap(SwapVariant(SwapKind.PLAIN), pair, 1)
@@ -60,6 +92,11 @@ def test_word_array_pair_validation():
         WordArrayPair([1 << 64], [0])
     with pytest.raises(DomainError):
         WordArrayPair([-1], [0])
+    with pytest.raises(DomainError):
+        WordArrayPair([1 << 128], [0], 2)
+    for bad in (0, -1, 1.0):
+        with pytest.raises(DomainError):
+            WordArrayPair([1], [2], bad)
 
 
 def test_cond_validation():

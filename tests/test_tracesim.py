@@ -11,6 +11,7 @@ from nonce_lab.dsp import _iteration_events
 from nonce_lab.events import KIND_BY_CODE, EventRecorder, OpKind
 from nonce_lab.ff_curve import Scalar, montgomery_ladder
 from nonce_lab.swap_impls import SwapKind, SwapVariant
+from nonce_lab import tracesim
 from nonce_lab.tracesim import (
     LeakageTrace,
     MarkerTable,
@@ -428,4 +429,36 @@ def test_trace_file_rejects_bad_meta_and_oversized_header(tmp_path, toy):
         struct.pack("<4sIdIII", b"SCTR", 1, 2.5e6, 2**32 - 1, 2**32 - 1, 0) + bytes(4)
     )
     with pytest.raises(DomainError, match="header declares"):
+        read_trace_set(path)
+
+
+def test_cached_carrier_is_read_only():
+    carrier = tracesim._carrier(1000, 2.5e6, 1.0e5)
+    assert not carrier.flags.writeable
+    with pytest.raises(ValueError):
+        carrier[0] = 0.0
+
+
+@pytest.mark.parametrize("interruption_prob", [0.0, 1.0])
+def test_synthesize_with_cached_carrier_matches_a_fresh_one(toy, interruption_prob):
+    """Lengths alternate (and gaps splice in), so the one-entry cache both
+    hits and misses; every trace equals one synthesized on a fresh carrier."""
+    cfg = SimConfig(samples_per_event=8, interruption_prob=interruption_prob, seed=3)
+    short, long = flat_events(40), step_events(toy)
+    streams = [short, short, long, long, short, long]
+    tracesim._carrier.cache_clear()
+    warm = [synthesize(ev, cfg, np.random.default_rng(i)) for i, ev in enumerate(streams)]
+    assert len({t.samples.size for t in warm}) > 1
+    for i, ev in enumerate(streams):
+        tracesim._carrier.cache_clear()
+        fresh = synthesize(ev, cfg, np.random.default_rng(i))
+        assert np.array_equal(warm[i].samples, fresh.samples)
+
+
+def test_non_utf8_label_sidecar_is_domain_error(tmp_path):
+    cfg = quiet_cfg(samples_per_event=8, seed=2)
+    path = tmp_path / "w.trc"
+    write_trace_set(generate_swap_windows(SwapKind.PLAIN, 1, [0, 1], cfg), path)
+    labels_path(path).write_bytes(b"\xfftrace_index,swap_index,cond,interfered\n")
+    with pytest.raises(DomainError, match="UTF-8"):
         read_trace_set(path)
