@@ -187,7 +187,7 @@ def _load_config_file(path: str) -> dict:
         cast, _ = _CONFIG_KEYS[key]
         try:
             out[key] = cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(1e400), float(10**400)
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     return out
 

@@ -302,6 +302,27 @@ def _coherent_spacing(positions: Sequence[int]) -> bool:
     return float(np.mean(regular)) >= 0.6
 
 
+def _sorted_median(values: list[float]) -> float:
+    """``np.median`` of an already sorted list, to the last bit."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return values[half]
+    return (values[half - 1] + values[half]) / 2
+
+
+def _median_split_steps(values: list[float]) -> list[float]:
+    """|median(values[i:]) - median(values[:i])| for every split leaving at
+    least five values on each side, from two running sorted lists."""
+    prefix = sorted(values[:5])
+    suffix = sorted(values[5:])
+    steps = []
+    for value in values[5 : len(values) - 4]:
+        steps.append(abs(_sorted_median(suffix) - _sorted_median(prefix)))
+        bisect.insort(prefix, value)
+        del suffix[bisect.bisect_left(suffix, value)]
+    return steps
+
+
 def _grid_positions(
     seeds: list[int], corr: np.ndarray, width: int, bits: int, spe: int
 ) -> list[int] | None:
@@ -361,13 +382,9 @@ def _grid_positions(
         period, anchor = float(period), float(anchor)
     if period <= width:
         return None
-    centered = pos - (anchor + slots * period)
-    for i in range(5, len(centered) - 4):
-        step = abs(
-            float(np.median(centered[i:])) - float(np.median(centered[:i]))
-        )
-        if step > 0.75 * spe:
-            return None
+    centered = (pos - (anchor + slots * period)).tolist()
+    if any(step > 0.75 * spe for step in _median_split_steps(centered)):
+        return None
 
     snap = int(min(spe, max(0.0, (period - width) / 2.0 - 1.0)))
     first = math.ceil((-anchor - snap) / period)

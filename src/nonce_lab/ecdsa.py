@@ -14,6 +14,7 @@ signatures as ``r=<hex> s=<hex> z=<hex>``, nonces as ``k=<hex>``.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,12 +156,16 @@ def recover_private_key(sig: Signature, k: int, curve: CurveParams) -> int:
 # Line-oriented hex serialization.
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
 def parse_hex(text: str, where: str) -> int:
-    """One hex field of an input file; malformed text is a ``DomainError``."""
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise DomainError(f"{where}: {text!r} is not a hex integer") from None
+    """One hex field of an input file: ASCII hex digits only, as the writers
+    emit them. A sign, a ``0x`` prefix, an underscore or a space (all of
+    which ``int(text, 16)`` takes) is a ``DomainError``."""
+    if not _HEX_DIGITS.fullmatch(text):
+        raise DomainError(f"{where}: {text!r} is not a hex integer")
+    return int(text, 16)
 
 
 def read_text(path: str | Path) -> str:

@@ -3,8 +3,9 @@
 The leakage simulator does not model voltages directly; it consumes an
 EventRecorder, whose columns say what the device did and how many bits
 toggled while doing it; no per-event object is ever built. Field
-operations and swap word operations both emit into the same recorder so
-that a full scalar multiplication serializes to one ordered event stream.
+operations and swap word operations both record into the same recorder,
+mostly a whole step body or swap burst per append, so that a full scalar
+multiplication serializes to one ordered event stream.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ class EventRecorder:
 
     ``kinds`` holds each event's ``OpKind.code``, ``leaks`` its leak value
     (a Hamming weight or distance of whatever the operation touched) and
-    ``conds`` its swap condition, None for plain arithmetic; an event's
-    time index is its position. The conditions exist so simulated traces
-    can be labeled; a classifier must never read them. ``emit`` and
-    ``extend`` build no object and check nothing, since ``synthesize``
-    validates the columns once.
+    ``conds`` its swap condition, -1 for plain arithmetic (the encoding
+    ``MarkerTable`` uses too); an event's time index is its position. The
+    conditions exist so simulated traces can be labeled; a classifier must
+    never read them. ``emit`` and ``extend`` build no object and check
+    nothing, since ``synthesize`` validates the columns once. The traced
+    arithmetic bodies append to the three lists directly, a constant kinds
+    and conds tuple per call.
     """
 
     __slots__ = ("kinds", "leaks", "conds")
@@ -67,14 +70,14 @@ class EventRecorder:
     def __init__(self) -> None:
         self.kinds: list[int] = []
         self.leaks: list[int] = []
-        self.conds: list[int | None] = []
+        self.conds: list[int] = []
 
-    def emit(self, kind: OpKind, leak_value: int, cond: int | None = None) -> None:
+    def emit(self, kind: OpKind, leak_value: int, cond: int = -1) -> None:
         self.kinds.append(kind.code)
         self.leaks.append(leak_value)
         self.conds.append(cond)
 
-    def extend(self, kinds: tuple[int, ...], leaks: list[int], cond: int | None) -> None:
+    def extend(self, kinds: tuple[int, ...], leaks: list[int], cond: int) -> None:
         """Append events sharing one condition; ``kinds`` holds codes."""
         self.kinds += kinds
         self.leaks += leaks

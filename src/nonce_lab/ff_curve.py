@@ -12,9 +12,12 @@ conditional swap supplied by the caller:
 * ``double_and_always_add``: doubles and adds every iteration, then swaps
   the result register with the throwaway register under condition ``k_i``.
 
-When given an EventRecorder, the multipliers emit one event per field
+When given an EventRecorder, the multipliers record one event per field
 operation (with the Hamming weight of the result) plus whatever the swap
 implementation emits; the simulator turns that stream into sampled traces.
+The traced bodies (``_step_body``, ``_dbl_body``, ``_add_body``) compute
+their field ops inline and record in bulk: per call, one constant tuple of
+kinds, one of conds and the results' weights in source order.
 Without a recorder both multipliers hand the work to one untraced core
 (``fast_multiply``): Jacobian coordinates, width-w NAF for an arbitrary base
 and a fixed-base table for the generator, built on first use.
@@ -72,8 +75,10 @@ class Field:
         mask = (1 << k) - 1
 
         def red(z: int) -> int:
-            while z >> k:
-                z = (z & mask) + (z >> k) * c
+            high = z >> k
+            while high:
+                z = (z & mask) + high * c
+                high = z >> k
             return z - p if z >= p else z
 
         self._red = red
@@ -253,179 +258,181 @@ def point_on_curve(P: ProjectivePoint, curve: CurveParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Complete projective add/double (works for every input pair, including the
-# neutral element and P + (-P), on any short-Weierstrass curve). The traced
-# variants emit one event per field op in source order.
+# Traced complete projective add/double (every input pair, including the
+# neutral element and P + (-P), on any short-Weierstrass curve) and the
+# x-only ladder step. Each body computes its field ops inline, products
+# through ``red`` and add/sub/shift by one conditional correction, so every
+# result lies in [0, p). Register names follow the formulas, suffixed per
+# reassignment so each op's result survives to the body's one leak append:
+# the results' Hamming weights in source order. A body's kinds and conds
+# are constants, one tuple each.
 
 
-def _no_emit(kind: OpKind, leak: int) -> None:
-    pass
+def _schedule(ops: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Kinds and conds columns of a body's ops: M multiply, S square,
+    A add/sub/shift; no op carries a swap condition."""
+    codes = {
+        "M": OpKind.FIELD_MUL.code,
+        "S": OpKind.FIELD_SQUARE.code,
+        "A": OpKind.FIELD_ADD_SUB.code,
+    }
+    return tuple(codes[op] for op in ops), (-1,) * len(ops)
 
 
-def _make_ops(field: Field, recorder: EventRecorder | None):
-    """Field-op closures over ints, emitting one event per op to the
-    recorder if there is one."""
-    red = field.reducer()
-    p = field.p
-    emit = _no_emit if recorder is None else recorder.emit
-
-    def mul(u: int, v: int) -> int:
-        r = red(u * v)
-        emit(OpKind.FIELD_MUL, r.bit_count())
-        return r
-
-    def sq(u: int) -> int:
-        r = red(u * u)
-        emit(OpKind.FIELD_SQUARE, r.bit_count())
-        return r
-
-    def add(u: int, v: int) -> int:
-        s = u + v
-        if s >= p:
-            s -= p
-        emit(OpKind.FIELD_ADD_SUB, s.bit_count())
-        return s
-
-    def sub(u: int, v: int) -> int:
-        d = u - v
-        if d < 0:
-            d += p
-        emit(OpKind.FIELD_ADD_SUB, d.bit_count())
-        return d
-
-    def shl(u: int, bits: int) -> int:
-        r = red(u << bits)
-        emit(OpKind.FIELD_ADD_SUB, r.bit_count())
-        return r
-
-    return mul, sq, add, sub, shl
+_ADD_KINDS, _ADD_CONDS = _schedule("MMMAAMAAAAMAAAAMAAMMAAAMAAMMAAMAMAMMAMMA")
+_DBL_KINDS, _DBL_CONDS = _schedule("SSSMAMAMMAAAMMMMAMAAAAMAMAMAMAA")
+_STEP_KINDS, _STEP_CONDS = _schedule("MMMMMAAAMSAMASMAASSMASAAASMMAASMMAA")
 
 
-def _add_body(P, Q, a, b3, mul, sq, add, sub):
+def _add_body(P, Q, a, b3, red, p, rec):
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
-    t0 = mul(X1, X2)
-    t1 = mul(Y1, Y2)
-    t2 = mul(Z1, Z2)
-    t3 = add(X1, Y1)
-    t4 = add(X2, Y2)
-    t3 = mul(t3, t4)
-    t4 = add(t0, t1)
-    t3 = sub(t3, t4)
-    t4 = add(X1, Z1)
-    t5 = add(X2, Z2)
-    t4 = mul(t4, t5)
-    t5 = add(t0, t2)
-    t4 = sub(t4, t5)
-    t5 = add(Y1, Z1)
-    X3 = add(Y2, Z2)
-    t5 = mul(t5, X3)
-    X3 = add(t1, t2)
-    t5 = sub(t5, X3)
-    Z3 = mul(a, t4)
-    X3 = mul(b3, t2)
-    Z3 = add(X3, Z3)
-    X3 = sub(t1, Z3)
-    Z3 = add(t1, Z3)
-    Y3 = mul(X3, Z3)
-    t1 = add(t0, t0)
-    t1 = add(t1, t0)
-    t2 = mul(a, t2)
-    t4 = mul(b3, t4)
-    t1 = add(t1, t2)
-    t2 = sub(t0, t2)
-    t2 = mul(a, t2)
-    t4 = add(t4, t2)
-    t0 = mul(t1, t4)
-    Y3 = add(Y3, t0)
-    t0 = mul(t5, t4)
-    X3 = mul(t3, X3)
-    X3 = sub(X3, t0)
-    t0 = mul(t3, t1)
-    Z3 = mul(t5, Z3)
-    Z3 = add(Z3, t0)
-    return (X3, Y3, Z3)
+    t0 = red(X1 * X2)
+    t1 = red(Y1 * Y2)
+    t2 = red(Z1 * Z2)
+    t3 = v - p if (v := X1 + Y1) >= p else v
+    t4 = v - p if (v := X2 + Y2) >= p else v
+    t3_1 = red(t3 * t4)
+    t4_1 = v - p if (v := t0 + t1) >= p else v
+    t3_2 = v + p if (v := t3_1 - t4_1) < 0 else v
+    t4_2 = v - p if (v := X1 + Z1) >= p else v
+    t5 = v - p if (v := X2 + Z2) >= p else v
+    t4_3 = red(t4_2 * t5)
+    t5_1 = v - p if (v := t0 + t2) >= p else v
+    t4_4 = v + p if (v := t4_3 - t5_1) < 0 else v
+    t5_2 = v - p if (v := Y1 + Z1) >= p else v
+    X3 = v - p if (v := Y2 + Z2) >= p else v
+    t5_3 = red(t5_2 * X3)
+    X3_1 = v - p if (v := t1 + t2) >= p else v
+    t5_4 = v + p if (v := t5_3 - X3_1) < 0 else v
+    Z3 = red(a * t4_4)
+    X3_2 = red(b3 * t2)
+    Z3_1 = v - p if (v := X3_2 + Z3) >= p else v
+    X3_3 = v + p if (v := t1 - Z3_1) < 0 else v
+    Z3_2 = v - p if (v := t1 + Z3_1) >= p else v
+    Y3 = red(X3_3 * Z3_2)
+    t1_1 = v - p if (v := t0 + t0) >= p else v
+    t1_2 = v - p if (v := t1_1 + t0) >= p else v
+    t2_1 = red(a * t2)
+    t4_5 = red(b3 * t4_4)
+    t1_3 = v - p if (v := t1_2 + t2_1) >= p else v
+    t2_2 = v + p if (v := t0 - t2_1) < 0 else v
+    t2_3 = red(a * t2_2)
+    t4_6 = v - p if (v := t4_5 + t2_3) >= p else v
+    t0_1 = red(t1_3 * t4_6)
+    Y3_1 = v - p if (v := Y3 + t0_1) >= p else v
+    t0_2 = red(t5_4 * t4_6)
+    X3_4 = red(t3_2 * X3_3)
+    X3_5 = v + p if (v := X3_4 - t0_2) < 0 else v
+    t0_3 = red(t3_2 * t1_3)
+    Z3_3 = red(t5_4 * Z3_2)
+    Z3_4 = v - p if (v := Z3_3 + t0_3) >= p else v
+    rec.kinds += _ADD_KINDS
+    rec.leaks += map(int.bit_count, (
+        t0, t1, t2, t3, t4, t3_1, t4_1, t3_2, t4_2, t5, t4_3, t5_1, t4_4,
+        t5_2, X3, t5_3, X3_1, t5_4, Z3, X3_2, Z3_1, X3_3, Z3_2, Y3, t1_1,
+        t1_2, t2_1, t4_5, t1_3, t2_2, t2_3, t4_6, t0_1, Y3_1, t0_2, X3_4,
+        X3_5, t0_3, Z3_3, Z3_4,
+    ))
+    rec.conds += _ADD_CONDS
+    return (X3_5, Y3_1, Z3_4)
 
 
-def _dbl_body(P, a, b3, mul, sq, add, sub):
+def _dbl_body(P, a, b3, red, p, rec):
     X, Y, Z = P
-    t0 = sq(X)
-    t1 = sq(Y)
-    t2 = sq(Z)
-    t3 = mul(X, Y)
-    t3 = add(t3, t3)
-    Z3 = mul(X, Z)
-    Z3 = add(Z3, Z3)
-    X3 = mul(a, Z3)
-    Y3 = mul(b3, t2)
-    Y3 = add(X3, Y3)
-    X3 = sub(t1, Y3)
-    Y3 = add(t1, Y3)
-    Y3 = mul(X3, Y3)
-    X3 = mul(t3, X3)
-    Z3 = mul(b3, Z3)
-    t2 = mul(a, t2)
-    t3 = sub(t0, t2)
-    t3 = mul(a, t3)
-    t3 = add(t3, Z3)
-    Z3 = add(t0, t0)
-    t0 = add(Z3, t0)
-    t0 = add(t0, t2)
-    t0 = mul(t0, t3)
-    Y3 = add(Y3, t0)
-    t2 = mul(Y, Z)
-    t2 = add(t2, t2)
-    t0 = mul(t2, t3)
-    X3 = sub(X3, t0)
-    Z3 = mul(t2, t1)
-    Z3 = add(Z3, Z3)
-    Z3 = add(Z3, Z3)
-    return (X3, Y3, Z3)
+    t0 = red(X * X)
+    t1 = red(Y * Y)
+    t2 = red(Z * Z)
+    t3 = red(X * Y)
+    t3_1 = v - p if (v := t3 + t3) >= p else v
+    Z3 = red(X * Z)
+    Z3_1 = v - p if (v := Z3 + Z3) >= p else v
+    X3 = red(a * Z3_1)
+    Y3 = red(b3 * t2)
+    Y3_1 = v - p if (v := X3 + Y3) >= p else v
+    X3_1 = v + p if (v := t1 - Y3_1) < 0 else v
+    Y3_2 = v - p if (v := t1 + Y3_1) >= p else v
+    Y3_3 = red(X3_1 * Y3_2)
+    X3_2 = red(t3_1 * X3_1)
+    Z3_2 = red(b3 * Z3_1)
+    t2_1 = red(a * t2)
+    t3_2 = v + p if (v := t0 - t2_1) < 0 else v
+    t3_3 = red(a * t3_2)
+    t3_4 = v - p if (v := t3_3 + Z3_2) >= p else v
+    Z3_3 = v - p if (v := t0 + t0) >= p else v
+    t0_1 = v - p if (v := Z3_3 + t0) >= p else v
+    t0_2 = v - p if (v := t0_1 + t2_1) >= p else v
+    t0_3 = red(t0_2 * t3_4)
+    Y3_4 = v - p if (v := Y3_3 + t0_3) >= p else v
+    t2_2 = red(Y * Z)
+    t2_3 = v - p if (v := t2_2 + t2_2) >= p else v
+    t0_4 = red(t2_3 * t3_4)
+    X3_3 = v + p if (v := X3_2 - t0_4) < 0 else v
+    Z3_4 = red(t2_3 * t1)
+    Z3_5 = v - p if (v := Z3_4 + Z3_4) >= p else v
+    Z3_6 = v - p if (v := Z3_5 + Z3_5) >= p else v
+    rec.kinds += _DBL_KINDS
+    rec.leaks += map(int.bit_count, (
+        t0, t1, t2, t3, t3_1, Z3, Z3_1, X3, Y3, Y3_1, X3_1, Y3_2, Y3_3,
+        X3_2, Z3_2, t2_1, t3_2, t3_3, t3_4, Z3_3, t0_1, t0_2, t0_3, Y3_4,
+        t2_2, t2_3, t0_4, X3_3, Z3_4, Z3_5, Z3_6,
+    ))
+    rec.conds += _DBL_CONDS
+    return (X3_3, Y3_4, Z3_6)
 
 
-def _step_body(s, r, x_base, a, b, mul, sq, add, sub, shl):
+def _step_body(s, r, x_base, a, b4, red, p, rec):
     """One ladder step on x-only pairs: returns (r + s, 2r).
 
-    Requires the affine x of r - s. The multiply/square runs follow
-    LADDER_STEP_MUL_GROUPS, separated by add/sub/shift ops.
+    Requires the affine x of r - s. ``b4`` is the step's shift of a
+    constant, 4b mod p, hoisted out of the loop and still recorded. The
+    multiply/square runs follow LADDER_STEP_MUL_GROUPS, separated by
+    add/sub/shift ops.
     """
     X1, Z1 = s
     X2, Z2 = r
-    t6 = mul(X2, X1)
-    t0 = mul(Z2, Z1)
-    t4 = mul(X2, Z1)
-    t3 = mul(Z2, X1)
-    t5 = mul(a, t0)
-    t5 = add(t6, t5)
-    t6 = add(t3, t4)
-    t3 = sub(t3, t4)
-    t5 = mul(t6, t5)
-    t0 = sq(t0)
-    t2 = shl(b, 2)
-    t0 = mul(t2, t0)
-    t5 = shl(t5, 1)
-    Z1n = sq(t3)
-    t4 = mul(Z1n, x_base)
-    t0 = add(t0, t5)
-    X1n = sub(t0, t4)
-    t4 = sq(X2)
-    t5 = sq(Z2)
-    t6 = mul(a, t5)
-    t1 = add(X2, Z2)
-    t1 = sq(t1)
-    t1 = sub(t1, t4)
-    t1 = sub(t1, t5)
-    t3 = sub(t4, t6)
-    t3 = sq(t3)
-    t0 = mul(t5, t1)
-    t0 = mul(t2, t0)
-    X2n = sub(t3, t0)
-    t3 = add(t4, t6)
-    t4 = sq(t5)
-    t4 = mul(t4, t2)
-    t1 = mul(t1, t3)
-    t1 = shl(t1, 1)
-    Z2n = add(t4, t1)
+    t6 = red(X2 * X1)
+    t0 = red(Z2 * Z1)
+    t4 = red(X2 * Z1)
+    t3 = red(Z2 * X1)
+    t5 = red(a * t0)
+    t5_1 = v - p if (v := t6 + t5) >= p else v
+    t6_1 = v - p if (v := t3 + t4) >= p else v
+    t3_1 = v + p if (v := t3 - t4) < 0 else v
+    t5_2 = red(t6_1 * t5_1)
+    t0_1 = red(t0 * t0)
+    t2 = b4
+    t0_2 = red(t2 * t0_1)
+    t5_3 = v - p if (v := t5_2 << 1) >= p else v
+    Z1n = red(t3_1 * t3_1)
+    t4_1 = red(Z1n * x_base)
+    t0_3 = v - p if (v := t0_2 + t5_3) >= p else v
+    X1n = v + p if (v := t0_3 - t4_1) < 0 else v
+    t4_2 = red(X2 * X2)
+    t5_4 = red(Z2 * Z2)
+    t6_2 = red(a * t5_4)
+    t1 = v - p if (v := X2 + Z2) >= p else v
+    t1_1 = red(t1 * t1)
+    t1_2 = v + p if (v := t1_1 - t4_2) < 0 else v
+    t1_3 = v + p if (v := t1_2 - t5_4) < 0 else v
+    t3_2 = v + p if (v := t4_2 - t6_2) < 0 else v
+    t3_3 = red(t3_2 * t3_2)
+    t0_4 = red(t5_4 * t1_3)
+    t0_5 = red(t2 * t0_4)
+    X2n = v + p if (v := t3_3 - t0_5) < 0 else v
+    t3_4 = v - p if (v := t4_2 + t6_2) >= p else v
+    t4_3 = red(t5_4 * t5_4)
+    t4_4 = red(t4_3 * t2)
+    t1_4 = red(t1_3 * t3_4)
+    t1_5 = v - p if (v := t1_4 << 1) >= p else v
+    Z2n = v - p if (v := t4_4 + t1_5) >= p else v
+    rec.kinds += _STEP_KINDS
+    rec.leaks += map(int.bit_count, (
+        t6, t0, t4, t3, t5, t5_1, t6_1, t3_1, t5_2, t0_1, t2, t0_2, t5_3,
+        Z1n, t4_1, t0_3, X1n, t4_2, t5_4, t6_2, t1, t1_1, t1_2, t1_3, t3_2,
+        t3_3, t0_4, t0_5, X2n, t3_4, t4_3, t4_4, t1_4, t1_5, Z2n,
+    ))
+    rec.conds += _STEP_CONDS
     return (X1n, Z1n), (X2n, Z2n)
 
 
@@ -631,12 +638,14 @@ def fast_double_multiply(
     return _affine_point(_to_affine(P, curve), curve)
 
 
-def _rerandomize_triple(triple, scale, red, emit):
-    """Scale a projective representative by a nonzero factor, emitting one
+_RERANDOMIZE_KINDS = (OpKind.RERANDOMIZE.code,) * 3
+
+
+def _rerandomize_triple(triple, scale, red, rec):
+    """Scale a projective representative by a nonzero factor, recording one
     event per refreshed coordinate."""
     out = tuple(red(c * scale) for c in triple)
-    for c in out:
-        emit(OpKind.RERANDOMIZE, c.bit_count())
+    rec.extend(_RERANDOMIZE_KINDS, [c.bit_count() for c in out], -1)
     return out
 
 
@@ -676,9 +685,9 @@ def montgomery_ladder(
         swap_impl = swap_impls.SwapVariant(swap_impls.SwapKind.PLAIN)
     combined = swap_impl.kind is swap_impls.SwapKind.COMBINED
     red = curve.field.reducer()
-    p = curve.p
+    p, a = curve.p, curve.a
+    b4 = 4 * curve.b % p
     wc = curve.word_count
-    mul, sq, add, sub, shl = _make_ops(curve.field, recorder)
     rng = swap_impl.rng
 
     # Register layout: A tracks the 2r half, B the r+s half, each dragging a
@@ -701,14 +710,14 @@ def montgomery_ladder(
         cond = bit ^ pbit
         pbit = bit
         if combined:
-            A = _rerandomize_triple(A, rng.randrange(1, p), red, recorder.emit)
-            B = _rerandomize_triple(B, rng.randrange(1, p), red, recorder.emit)
+            A = _rerandomize_triple(A, rng.randrange(1, p), red, recorder)
+            B = _rerandomize_triple(B, rng.randrange(1, p), red, recorder)
         swapped = swap_impls.ct_swap(
             swap_impl, swap_impls.WordArrayPair(A, B, wc), cond, recorder
         )
         A, B = swapped.a, swapped.b
         (bx, bz), (ax, az) = _step_body(
-            (B[0], B[2]), (A[0], A[2]), xb, curve.a, curve.b, mul, sq, add, sub, shl
+            (B[0], B[2]), (A[0], A[2]), xb, a, b4, red, p, recorder
         )
         A = (ax, A[1], az)
         B = (bx, B[1], bz)
@@ -756,17 +765,16 @@ def double_and_always_add(
     p, a = curve.p, curve.a
     b3 = 3 * curve.b % p
     wc = curve.word_count
-    mul, sq, add, sub, _ = _make_ops(curve.field, recorder)
     rng = swap_impl.rng
     # A random neutral representative keeps the first iterations' register
     # images in the same distribution as the rest.
     R = (0, rng.randrange(1, p), 0)
     for i in range(k.bit_length - 1, -1, -1):
-        R = _dbl_body(R, a, b3, mul, sq, add, sub)
-        T = _add_body(R, P, a, b3, mul, sq, add, sub)
+        R = _dbl_body(R, a, b3, red, p, recorder)
+        T = _add_body(R, P, a, b3, red, p, recorder)
         if combined:
-            R = _rerandomize_triple(R, rng.randrange(1, p), red, recorder.emit)
-            T = _rerandomize_triple(T, rng.randrange(1, p), red, recorder.emit)
+            R = _rerandomize_triple(R, rng.randrange(1, p), red, recorder)
+            T = _rerandomize_triple(T, rng.randrange(1, p), red, recorder)
         swapped = swap_impls.ct_swap(
             swap_impl, swap_impls.WordArrayPair(R, T, wc), k.bit(i), recorder
         )

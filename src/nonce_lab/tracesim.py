@@ -11,6 +11,7 @@ the analysis pipeline has to cope with on real captures.
 
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import io
@@ -278,6 +279,10 @@ def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
     return list(mt._windows)
 
 
+# Noise samples drawn per call: 512 KiB of float64.
+_NOISE_BLOCK = 1 << 16
+
+
 @functools.lru_cache(maxsize=1)
 def _carrier(n: int, sample_rate: float, f_mod: float) -> np.ndarray:
     """cos(2*pi*f_mod*i/sample_rate) for i < n, read-only; the traces of
@@ -305,20 +310,31 @@ def synthesize(
     ``interruption_prob`` a silent gap of random length is spliced in at
     a random event boundary.
 
-    The recorder's columns are validated here, once.
+    The recorder's columns are validated here, once, each read into an
+    array in one pass: kinds as bytes, leaks as int64 and conds as int8
+    with -1 for "no condition", the encoding ``MarkerTable`` keeps.
     """
     if not len(events):
         raise DomainError("cannot synthesize an empty event stream")
-    kinds = np.array(events.kinds, dtype=np.uint8)
-    leaks = np.array(events.leaks, dtype=np.float64)
-    conds = np.array(events.conds, dtype=np.float64)  # None reads as NaN
-    unconditioned = np.isnan(conds)
+    kinds = np.frombuffer(bytes(events.kinds), np.uint8)
+    # array refuses None, floats and ints beyond its type's range.
+    try:
+        leaks = np.frombuffer(array.array("q", events.leaks), np.int64)
+    except (TypeError, OverflowError):
+        raise DomainError("leak values must be integers") from None
+    try:
+        conds = np.frombuffer(array.array("b", events.conds), np.int8)
+    except (TypeError, OverflowError):
+        raise DomainError("swap condition must be -1, 0 or 1") from None
+    word = _IS_WORD[kinds]
     if (leaks < 0).any():
         raise DomainError("negative leak value")
-    if (leaks[_IS_WORD[kinds]] > WORD_BITS).any():
+    if (leaks[word] > WORD_BITS).any():
         raise DomainError("word-level leak value exceeds the word width")
-    if not np.isin(conds[~unconditioned], (0, 1)).all():
-        raise DomainError("swap condition must be 0, 1 or None")
+    if ((conds < -1) | (conds > 1)).any():
+        raise DomainError("swap condition must be -1, 0 or 1")
+    if (conds[word] < 0).any():
+        raise DomainError("word-level swap event without a condition")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     spe = cfg.samples_per_event
@@ -346,7 +362,15 @@ def synthesize(
     samples = envelope
     samples *= _carrier(n, cfg.sample_rate, cfg.f_mod)
     if cfg.noise_sigma > 0.0:
-        samples += rng.normal(0.0, cfg.noise_sigma, n)
+        # Bit for bit rng.normal(0.0, sigma, n): the same draws, scaled in
+        # place, in blocks through one buffer, so no second trace-length
+        # array exists.
+        block = np.empty(min(n, _NOISE_BLOCK))
+        for lo in range(0, n, block.size):
+            noise = block[: n - lo]
+            rng.standard_normal(out=noise)
+            noise *= cfg.noise_sigma
+            samples[lo : lo + noise.size] += noise
 
     trace_meta = {
         "f_cpu": str(cfg.f_cpu),
@@ -354,9 +378,7 @@ def synthesize(
     }
     if meta:
         trace_meta.update(meta)
-    markers = MarkerTable(
-        starts, starts + durations, kinds, np.where(unconditioned, -1, conds)
-    )
+    markers = MarkerTable(starts, starts + durations, kinds, conds)
     return LeakageTrace(
         samples=samples, sample_rate=cfg.sample_rate, markers=markers, meta=trace_meta
     )
@@ -707,11 +729,13 @@ def read_trace_set(path: Path | str) -> TraceSet:
     if not sidecar.exists():
         return TraceSet(traces, np.zeros((count, 0), dtype=np.int8))
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    reader = csv.reader(io.StringIO(read_text(sidecar), newline=""))
-    header_row = next(reader, None)
-    if header_row != ["trace_index", "swap_index", "cond", "interfered"]:
+    try:  # csv.Error: a field beyond the size limit, for one
+        rows = list(csv.reader(io.StringIO(read_text(sidecar), newline="")))
+    except csv.Error as exc:
+        raise DomainError(f"{sidecar} is not readable CSV ({exc})") from None
+    if rows[:1] != [["trace_index", "swap_index", "cond", "interfered"]]:
         raise DomainError(f"{sidecar} has an unexpected header")
-    for row in reader:
+    for row in rows[1:]:
         try:
             i, j, cond, flag = (int(v) for v in row)
         except ValueError:

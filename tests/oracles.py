@@ -14,8 +14,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import median_filter
 
+from nonce_lab import swap_impls
 from nonce_lab.errors import DomainError
-from nonce_lab.events import WORD_BITS, EventRecorder, OpKind
+from nonce_lab.events import KIND_BY_CODE, WORD_BITS, EventRecorder, OpKind
+from nonce_lab.ff_curve import Field, ProjectivePoint, _affine_point, _recover_y
 from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair
 
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -392,3 +394,298 @@ def word_ct_swap(
             emit(OpKind.MASK_COMPUTE, ((-share2) & WORD_MASK).bit_count(), cond)
 
     return WordArrayPair(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The traced multipliers as field-op closures, one ``emit`` per event. The
+# package's fused bodies must match these event for event and draw for draw.
+
+
+def no_emit(kind: OpKind, leak: int) -> None:
+    pass
+
+
+def make_ops(field: Field, recorder: EventRecorder | None):
+    """Field-op closures over ints, emitting one event per op to the
+    recorder if there is one."""
+    red = field.reducer()
+    p = field.p
+    emit = no_emit if recorder is None else recorder.emit
+
+    def mul(u: int, v: int) -> int:
+        r = red(u * v)
+        emit(OpKind.FIELD_MUL, r.bit_count())
+        return r
+
+    def sq(u: int) -> int:
+        r = red(u * u)
+        emit(OpKind.FIELD_SQUARE, r.bit_count())
+        return r
+
+    def add(u: int, v: int) -> int:
+        s = u + v
+        if s >= p:
+            s -= p
+        emit(OpKind.FIELD_ADD_SUB, s.bit_count())
+        return s
+
+    def sub(u: int, v: int) -> int:
+        d = u - v
+        if d < 0:
+            d += p
+        emit(OpKind.FIELD_ADD_SUB, d.bit_count())
+        return d
+
+    def shl(u: int, bits: int) -> int:
+        r = red(u << bits)
+        emit(OpKind.FIELD_ADD_SUB, r.bit_count())
+        return r
+
+    return mul, sq, add, sub, shl
+
+
+def add_body(P, Q, a, b3, mul, sq, add, sub):
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    t0 = mul(X1, X2)
+    t1 = mul(Y1, Y2)
+    t2 = mul(Z1, Z2)
+    t3 = add(X1, Y1)
+    t4 = add(X2, Y2)
+    t3 = mul(t3, t4)
+    t4 = add(t0, t1)
+    t3 = sub(t3, t4)
+    t4 = add(X1, Z1)
+    t5 = add(X2, Z2)
+    t4 = mul(t4, t5)
+    t5 = add(t0, t2)
+    t4 = sub(t4, t5)
+    t5 = add(Y1, Z1)
+    X3 = add(Y2, Z2)
+    t5 = mul(t5, X3)
+    X3 = add(t1, t2)
+    t5 = sub(t5, X3)
+    Z3 = mul(a, t4)
+    X3 = mul(b3, t2)
+    Z3 = add(X3, Z3)
+    X3 = sub(t1, Z3)
+    Z3 = add(t1, Z3)
+    Y3 = mul(X3, Z3)
+    t1 = add(t0, t0)
+    t1 = add(t1, t0)
+    t2 = mul(a, t2)
+    t4 = mul(b3, t4)
+    t1 = add(t1, t2)
+    t2 = sub(t0, t2)
+    t2 = mul(a, t2)
+    t4 = add(t4, t2)
+    t0 = mul(t1, t4)
+    Y3 = add(Y3, t0)
+    t0 = mul(t5, t4)
+    X3 = mul(t3, X3)
+    X3 = sub(X3, t0)
+    t0 = mul(t3, t1)
+    Z3 = mul(t5, Z3)
+    Z3 = add(Z3, t0)
+    return (X3, Y3, Z3)
+
+
+def dbl_body(P, a, b3, mul, sq, add, sub):
+    X, Y, Z = P
+    t0 = sq(X)
+    t1 = sq(Y)
+    t2 = sq(Z)
+    t3 = mul(X, Y)
+    t3 = add(t3, t3)
+    Z3 = mul(X, Z)
+    Z3 = add(Z3, Z3)
+    X3 = mul(a, Z3)
+    Y3 = mul(b3, t2)
+    Y3 = add(X3, Y3)
+    X3 = sub(t1, Y3)
+    Y3 = add(t1, Y3)
+    Y3 = mul(X3, Y3)
+    X3 = mul(t3, X3)
+    Z3 = mul(b3, Z3)
+    t2 = mul(a, t2)
+    t3 = sub(t0, t2)
+    t3 = mul(a, t3)
+    t3 = add(t3, Z3)
+    Z3 = add(t0, t0)
+    t0 = add(Z3, t0)
+    t0 = add(t0, t2)
+    t0 = mul(t0, t3)
+    Y3 = add(Y3, t0)
+    t2 = mul(Y, Z)
+    t2 = add(t2, t2)
+    t0 = mul(t2, t3)
+    X3 = sub(X3, t0)
+    Z3 = mul(t2, t1)
+    Z3 = add(Z3, Z3)
+    Z3 = add(Z3, Z3)
+    return (X3, Y3, Z3)
+
+
+def step_body(s, r, x_base, a, b, mul, sq, add, sub, shl):
+    """One ladder step on x-only pairs: returns (r + s, 2r).
+
+    Requires the affine x of r - s. The multiply/square runs follow
+    LADDER_STEP_MUL_GROUPS, separated by add/sub/shift ops.
+    """
+    X1, Z1 = s
+    X2, Z2 = r
+    t6 = mul(X2, X1)
+    t0 = mul(Z2, Z1)
+    t4 = mul(X2, Z1)
+    t3 = mul(Z2, X1)
+    t5 = mul(a, t0)
+    t5 = add(t6, t5)
+    t6 = add(t3, t4)
+    t3 = sub(t3, t4)
+    t5 = mul(t6, t5)
+    t0 = sq(t0)
+    t2 = shl(b, 2)
+    t0 = mul(t2, t0)
+    t5 = shl(t5, 1)
+    Z1n = sq(t3)
+    t4 = mul(Z1n, x_base)
+    t0 = add(t0, t5)
+    X1n = sub(t0, t4)
+    t4 = sq(X2)
+    t5 = sq(Z2)
+    t6 = mul(a, t5)
+    t1 = add(X2, Z2)
+    t1 = sq(t1)
+    t1 = sub(t1, t4)
+    t1 = sub(t1, t5)
+    t3 = sub(t4, t6)
+    t3 = sq(t3)
+    t0 = mul(t5, t1)
+    t0 = mul(t2, t0)
+    X2n = sub(t3, t0)
+    t3 = add(t4, t6)
+    t4 = sq(t5)
+    t4 = mul(t4, t2)
+    t1 = mul(t1, t3)
+    t1 = shl(t1, 1)
+    Z2n = add(t4, t1)
+    return (X1n, Z1n), (X2n, Z2n)
+
+
+def rerandomize_triple(triple, scale, red, emit):
+    """Scale a projective representative by a nonzero factor, emitting one
+    event per refreshed coordinate."""
+    out = tuple(red(c * scale) for c in triple)
+    for c in out:
+        emit(OpKind.RERANDOMIZE, c.bit_count())
+    return out
+
+
+def closure_ladder(k, base, curve, swap_impl=None, recorder=None):
+    """The traced branch of ``montgomery_ladder`` on the closures above;
+    ``base`` must lie on the curve and ``recorder`` must be given."""
+    xb, yb = base[0] % curve.p, base[1] % curve.p
+    if swap_impl is None:
+        swap_impl = swap_impls.SwapVariant(swap_impls.SwapKind.PLAIN)
+    combined = swap_impl.kind is swap_impls.SwapKind.COMBINED
+    red = curve.field.reducer()
+    p = curve.p
+    wc = curve.word_count
+    mul, sq, add, sub, shl = make_ops(curve.field, recorder)
+    rng = swap_impl.rng
+
+    # Register layout: A tracks the 2r half, B the r+s half, each dragging a
+    # stale Y coordinate that only the swaps touch.  Registers hold random
+    # projective representatives from the start, so no swap ever moves a
+    # fixed constant: on the x-line any (c : 0) with c != 0 is neutral.
+    def fresh_neutral() -> tuple[int, int, int]:
+        return (rng.randrange(1, p), rng.randrange(1, p), 0)
+
+    def fresh_base() -> tuple[int, int, int]:
+        lam = rng.randrange(1, p)
+        return (red(xb * lam), red(yb * lam), lam)
+
+    A = fresh_neutral()
+    B = fresh_base()
+    pbit = 0
+    seen = False
+    for i in range(k.bit_length - 1, -1, -1):
+        bit = k.bit(i)
+        cond = bit ^ pbit
+        pbit = bit
+        if combined:
+            A = rerandomize_triple(A, rng.randrange(1, p), red, recorder.emit)
+            B = rerandomize_triple(B, rng.randrange(1, p), red, recorder.emit)
+        swapped = swap_impls.ct_swap(
+            swap_impl, swap_impls.WordArrayPair(A, B, wc), cond, recorder
+        )
+        A, B = swapped.a, swapped.b
+        (bx, bz), (ax, az) = step_body(
+            (B[0], B[2]), (A[0], A[2]), xb, curve.a, curve.b, mul, sq, add, sub, shl
+        )
+        A = (ax, A[1], az)
+        B = (bx, B[1], bz)
+        if not seen:
+            seen = bit == 1
+            B = fresh_base()
+            if not seen:
+                A = fresh_neutral()
+    if pbit:
+        R0, R1 = (B[0], B[2]), (A[0], A[2])
+    else:
+        R0, R1 = (A[0], A[2]), (B[0], B[2])
+    return _affine_point(_recover_y((xb, yb), R0, R1, curve), curve)
+
+
+def closure_daa(k, point, curve, swap_impl=None, recorder=None):
+    """The traced branch of ``double_and_always_add`` on the closures above;
+    ``point`` must lie on the curve and ``recorder`` must be given."""
+    P = point.triple()
+    if swap_impl is None:
+        swap_impl = swap_impls.SwapVariant(swap_impls.SwapKind.PLAIN)
+    combined = swap_impl.kind is swap_impls.SwapKind.COMBINED
+    red = curve.field.reducer()
+    p, a = curve.p, curve.a
+    b3 = 3 * curve.b % p
+    wc = curve.word_count
+    mul, sq, add, sub, _ = make_ops(curve.field, recorder)
+    rng = swap_impl.rng
+    # A random neutral representative keeps the first iterations' register
+    # images in the same distribution as the rest.
+    R = (0, rng.randrange(1, p), 0)
+    for i in range(k.bit_length - 1, -1, -1):
+        R = dbl_body(R, a, b3, mul, sq, add, sub)
+        T = add_body(R, P, a, b3, mul, sq, add, sub)
+        if combined:
+            R = rerandomize_triple(R, rng.randrange(1, p), red, recorder.emit)
+            T = rerandomize_triple(T, rng.randrange(1, p), red, recorder.emit)
+        swapped = swap_impls.ct_swap(
+            swap_impl, swap_impls.WordArrayPair(R, T, wc), k.bit(i), recorder
+        )
+        R, T = swapped.a, swapped.b
+    return ProjectivePoint(*R, curve.field)
+
+
+def median_split_steps(centered):
+    """|median(centered[i:]) - median(centered[:i])| for every split that
+    leaves at least five values on each side, by two ``np.median`` calls
+    per split."""
+    steps = []
+    for i in range(5, len(centered) - 4):
+        step = abs(
+            float(np.median(centered[i:])) - float(np.median(centered[:i]))
+        )
+        steps.append(step)
+    return steps
+
+
+def marker_columns(recorder, samples_per_event, divisors):
+    """Starts, ends, kinds and conds of an unbroken synthesized trace, event
+    by event: each event lasts ``samples_per_event // divisors[kind]``."""
+    starts, ends = [], []
+    t = 0
+    for code in recorder.kinds:
+        starts.append(t)
+        t += samples_per_event // divisors[KIND_BY_CODE[code]]
+        ends.append(t)
+    return starts, ends, list(recorder.kinds), list(recorder.conds)

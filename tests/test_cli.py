@@ -119,6 +119,16 @@ class TestConfigResolution:
         assert run_cli("keygen", "--config", str(path)) == 1
         assert_one_error_line(capsys, "config")
 
+    @pytest.mark.parametrize(
+        "text", ['{"count": 1e400}', '{"noise_sigma": 1' + "0" * 400 + "}"],
+        ids=["int-of-infinity", "float-of-huge-int"],
+    )
+    def test_overflowing_value_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert run_cli("keygen", "--config", str(path)) == 1
+        assert_one_error_line(capsys, "config")
+
     def test_derive_seed_is_stable_and_labeled(self):
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(1, "b")
@@ -224,6 +234,7 @@ class TestSimulatePipeline:
             (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,0,300,0\n"),
             (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,-5,0,0\n"),
             (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,1,0,0\n"),
+            (1, 1, b"", "trace_index,swap_index,cond,interfered\n0,0,0," + "0" * 200000),
         ],
         ids=[
             "non-utf8-meta",
@@ -233,6 +244,7 @@ class TestSimulatePipeline:
             "label-cond-beyond-int8",
             "label-negative-swap-index",
             "label-cell-missing",
+            "label-field-beyond-csv-limit",
         ],
     )
     def test_corrupt_trace_file_is_input_error(
@@ -363,6 +375,34 @@ class TestRecoverCommand:
         (tmp_path / "known").write_text(f"a={nonce.k.value % 16:x}\n")
         text = (tmp_path / bad_file).read_text()
         (tmp_path / bad_file).write_text(text.replace("=", "=zz", 1))
+        assert run_cli(
+            "recover", "--signatures", tmp_path / "signatures",
+            "--known", tmp_path / "known", "--key", tmp_path / "key.txt",
+            "--leak-bits", 4, "--curve", "toy16", "--out", tmp_path / "rec",
+        ) == 1
+        assert_one_error_line(capsys, "input")
+
+    @pytest.mark.parametrize(
+        "bad_file, text",
+        [
+            ("signatures", "r=-c8a3 s=1 z=1\n"),
+            ("key.txt", "d=0x1f\n"),
+            ("known", "a=+f\n"),
+            ("known", "a=1_f\n"),
+        ],
+        ids=["signed-r", "prefixed-d", "plus-sign", "underscore"],
+    )
+    def test_hex_beyond_plain_digits_is_input_error(
+        self, tmp_path, toy, capsys, bad_file, text
+    ):
+        # int(text, 16) takes every one of these.
+        rng = random.Random(14)
+        key = keygen(toy, rng)
+        write_private_key(tmp_path / "key.txt", key)
+        sig, nonce = sign(55, key, rng)
+        write_signatures(tmp_path / "signatures", [sig])
+        (tmp_path / "known").write_text(f"a={nonce.k.value % 16:x}\n")
+        (tmp_path / bad_file).write_text(text)
         assert run_cli(
             "recover", "--signatures", tmp_path / "signatures",
             "--known", tmp_path / "known", "--key", tmp_path / "key.txt",

@@ -8,6 +8,7 @@ from nonce_lab.dsp import (
     _iteration_events,
     _kaiser_bandpass,
     _kaiserord,
+    _median_split_steps,
     _normalized_xcorr,
     _peak_positions,
     align_swaps,
@@ -33,6 +34,7 @@ from nonce_lab.tracesim import (
 )
 from oracles import (
     greedy_peak_positions,
+    median_split_steps,
     scipy_bandpass,
     scipy_normalized_xcorr,
     step_peak_groups,
@@ -228,6 +230,22 @@ def test_peak_positions_match_quadratic_greedy(seed):
                 expected = greedy_peak_positions(corr, threshold, min_distance)
                 assert _peak_positions(corr, threshold, min_distance) == expected
     assert _peak_positions(tracks[0], 100.0, 7) == []
+
+
+def test_median_split_steps_match_np_median_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(0, 120))
+        if trial % 3 == 0:  # ties: a handful of distinct values
+            values = rng.integers(-3, 4, n).astype(np.float64) / 2.0
+        elif trial % 3 == 1:  # sub-sample residuals, one-decimal ties
+            values = np.round(rng.normal(0.0, 4.0, n), 1)
+        else:
+            values = rng.normal(0.0, 1e3, n)
+        assert _median_split_steps(values.tolist()) == median_split_steps(values)
+    # The size of one secp521r1 trace's slot grid.
+    values = rng.normal(0.0, 2.0, 521)
+    assert _median_split_steps(values.tolist()) == median_split_steps(values)
 
 
 def test_align_rejects_pure_noise(toy):

@@ -13,7 +13,6 @@ from nonce_lab.ff_curve import (
     Scalar,
     _add_body,
     _dbl_body,
-    _make_ops,
     _step_body,
     double_and_always_add,
     fast_double_multiply,
@@ -26,7 +25,14 @@ from nonce_lab.ff_curve import (
 )
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 
-from oracles import affine_add, affine_multiply, mul_run_lengths
+from oracles import (
+    affine_add,
+    affine_multiply,
+    closure_daa,
+    closure_ladder,
+    make_ops,
+    mul_run_lengths,
+)
 
 P521 = (1 << 521) - 1
 P255 = (1 << 255) - 19
@@ -45,7 +51,8 @@ def test_reducer_matches_mod(p, z):
 
 @given(st.sampled_from(MODULI), st.data())
 def test_traced_field_ops_match_int_arithmetic(p, data):
-    mul, sq, add, sub, shl = _make_ops(Field(p), EventRecorder())
+    # The closure ops the fused bodies are checked against, op by op.
+    mul, sq, add, sub, shl = make_ops(Field(p), EventRecorder())
     a = data.draw(st.integers(0, p - 1))
     b = data.draw(st.integers(0, p - 1))
     assert add(a, b) == (a + b) % p
@@ -179,15 +186,19 @@ def _as_affine(P):
 
 def point_add(P, Q, curve, recorder=None):
     """P + Q on the complete formulas the traced double-and-add runs."""
-    ops = _make_ops(curve.field, recorder)[:4]
-    R = _add_body(P.triple(), Q.triple(), curve.a, 3 * curve.b % curve.p, *ops)
+    R = _add_body(
+        P.triple(), Q.triple(), curve.a, 3 * curve.b % curve.p,
+        curve.field.reducer(), curve.p, EventRecorder() if recorder is None else recorder,
+    )
     return ProjectivePoint(*R, curve.field)
 
 
 def point_double(P, curve, recorder=None):
     """2P on the complete formulas the traced double-and-add runs."""
-    ops = _make_ops(curve.field, recorder)[:4]
-    R = _dbl_body(P.triple(), curve.a, 3 * curve.b % curve.p, *ops)
+    R = _dbl_body(
+        P.triple(), curve.a, 3 * curve.b % curve.p,
+        curve.field.reducer(), curve.p, EventRecorder() if recorder is None else recorder,
+    )
     return ProjectivePoint(*R, curve.field)
 
 
@@ -243,20 +254,22 @@ def test_traced_ops_emit_per_field_op(toy):
     arithmetic = {OpKind.FIELD_MUL, OpKind.FIELD_SQUARE, OpKind.FIELD_ADD_SUB}
     assert set(rec.kinds) <= {kind.code for kind in arithmetic}
     assert len(rec.leaks) == len(rec.conds) == len(rec)
-    assert set(rec.conds) == {None}
+    assert set(rec.conds) == {-1}
     n_dbl = len(rec)
     point_add(G, point_double(G, toy), toy, recorder=rec)
     assert len(rec) > n_dbl
 
 
 # ---------------------------------------------------------------------------
-# One ladder step: _step_body driven through the traced field ops
+# One ladder step: the fused _step_body on its own
 
 
 def ladder_step(s, r, curve, recorder=None):
     """(r + s, 2r) on x-only (X, Z) pairs whose difference is the generator."""
-    ops = _make_ops(curve.field, recorder)
-    return _step_body(s, r, curve.gx, curve.a, curve.b, *ops)
+    return _step_body(
+        s, r, curve.gx, curve.a, 4 * curve.b % curve.p,
+        curve.field.reducer(), curve.p, EventRecorder() if recorder is None else recorder,
+    )
 
 
 def _x(P, curve):
@@ -378,6 +391,33 @@ def test_traced_paths_match_fast_paths(k, variant_name):
         sc, G, toy, SwapVariant(SwapKind(variant_name), rng_seed=5), rec2
     )
     assert traced2 == fast2 == fast
+
+
+@settings(max_examples=48, deadline=None)
+@given(
+    st.sampled_from(["secp521r1", "secp128r1", "wei25519", "toy16"]),
+    st.sampled_from(list(SwapKind)),
+    st.sampled_from(["ladder", "daa"]),
+    st.data(),
+)
+def test_fused_bodies_match_closure_oracles(curve_name, kind, multiplier, data):
+    """The fused traced bodies record exactly what the closure-based bodies
+    did: same kinds, leaks and conds, same result, same swap-RNG state."""
+    curve = get_curve(curve_name)
+    k = Scalar.for_curve(data.draw(st.integers(1, curve.n - 1)), curve)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if multiplier == "ladder":
+        base, fused, oracle = curve.generator, montgomery_ladder, closure_ladder
+    else:
+        base = ProjectivePoint.from_affine(*curve.generator, curve.field)
+        fused, oracle = double_and_always_add, closure_daa
+    runs = []
+    for multiply in (fused, oracle):
+        variant = SwapVariant(kind, rng_seed=seed)
+        rec = EventRecorder()
+        point = multiply(k, base, curve, variant, rec)
+        runs.append((rec.kinds, rec.leaks, rec.conds, point.triple(), variant.rng.getstate()))
+    assert runs[0] == runs[1]
 
 
 def test_schedule_is_scalar_independent(toy):

@@ -2,11 +2,14 @@
 NonceLabError, for random bytes and for valid files with bytes flipped,
 inserted or cut off."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonce_lab.analysis import TemplateModel, read_model, write_model
+from nonce_lab.cli import _CONFIG_KEYS, _known_bits, _load_config_file
 from nonce_lab.ecdsa import (
     KeyPair,
     Signature,
@@ -93,12 +96,18 @@ def valid_files(tmp_path_factory):
     write_private_key(key, KeyPair(toy, 0x1234, None))
     sigs = root / "s.txt"
     write_signatures(sigs, [Signature(0x1F, 0x2E, 0x3D), Signature(5, 6, 7)])
+    config = {
+        "curve": "toy16", "seed": 3, "noise_sigma": 1.5, "count": 12,
+        "interference": [[10, 5, 0.5]], "grid_leak_bits": [300, 200],
+    }
     return {
         "traces": traces.read_bytes(),
         "labels": labels_path(traces).read_bytes(),
         "model": model.read_bytes(),
         "key": key.read_bytes(),
         "sigs": sigs.read_bytes(),
+        "config": json.dumps(config).encode(),
+        "known": b"# low bits\na=1f\n\na=3\n",
     }
 
 
@@ -108,7 +117,7 @@ def scratch(tmp_path_factory):
 
 
 def test_valid_files_parse(valid_files, scratch):
-    for name in ("traces", "labels", "model", "key", "sigs"):
+    for name in ("traces", "labels", "model", "key", "sigs", "config", "known"):
         (scratch / name).write_bytes(valid_files[name])
     (scratch / "t.bin").write_bytes(valid_files["traces"])
     labels_path(scratch / "t.bin").write_bytes(valid_files["labels"])
@@ -116,6 +125,8 @@ def test_valid_files_parse(valid_files, scratch):
     assert read_model(scratch / "model").mode == "full"
     assert read_private_key(scratch / "key", get_curve("toy16")).d == 0x1234
     assert len(read_signatures(scratch / "sigs")) == 2
+    assert _load_config_file(scratch / "config")["count"] == 12
+    assert _known_bits(scratch / "known") == [0x1F, 3]
 
 
 @FUZZ
@@ -149,3 +160,46 @@ def test_signature_reader_parses_or_refuses(valid_files, scratch, data):
     path = scratch / "sigs.txt"
     path.write_bytes(data.draw(garbage_or_mutated(valid_files["sigs"])))
     parses_or_refuses(read_signatures, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_labels_reader_parses_or_refuses(valid_files, scratch, data):
+    """The sidecar alone: the trace file stays valid."""
+    path = scratch / "intact.bin"
+    path.write_bytes(valid_files["traces"])
+    labels_path(path).write_bytes(data.draw(garbage_or_mutated(valid_files["labels"])))
+    parses_or_refuses(read_trace_set, path)
+
+
+# Any JSON value, numbers beyond int64 and float range included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_reader_parses_or_refuses(valid_files, scratch, data):
+    path = scratch / "config.json"
+    if data.draw(st.booleans()):
+        blob = data.draw(garbage_or_mutated(valid_files["config"]))
+    else:  # well-formed JSON, so the per-key casts see every kind of value
+        config = data.draw(st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), JSON_VALUES))
+        blob = json.dumps(config).encode()
+    path.write_bytes(blob)
+    parses_or_refuses(_load_config_file, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_known_bits_reader_parses_or_refuses(valid_files, scratch, data):
+    path = scratch / "known.txt"
+    path.write_bytes(data.draw(garbage_or_mutated(valid_files["known"])))
+    parses_or_refuses(_known_bits, path)

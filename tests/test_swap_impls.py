@@ -260,7 +260,7 @@ def test_rerandomize_preserves_point(toy):
     G = ProjectivePoint.from_affine(*toy.generator, toy.field)
     rec = EventRecorder()
     scale = random.Random(1).randrange(2, toy.p)
-    triple = _rerandomize_triple(G.triple(), scale, toy.field.reducer(), rec.emit)
+    triple = _rerandomize_triple(G.triple(), scale, toy.field.reducer(), rec)
     fresh = ProjectivePoint(*triple, toy.field)
     assert fresh == G
     assert point_on_curve(fresh, toy)

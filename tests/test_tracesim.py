@@ -9,10 +9,16 @@ import pytest
 from nonce_lab.errors import ConfigError, DomainError
 from nonce_lab.dsp import _iteration_events
 from nonce_lab.events import KIND_BY_CODE, EventRecorder, OpKind
-from nonce_lab.ff_curve import Scalar, montgomery_ladder
+from nonce_lab.ff_curve import (
+    ProjectivePoint,
+    Scalar,
+    double_and_always_add,
+    montgomery_ladder,
+)
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 from nonce_lab import tracesim
 from nonce_lab.tracesim import (
+    _DURATION_DIVISOR,
     LeakageTrace,
     MarkerTable,
     SimConfig,
@@ -28,6 +34,8 @@ from nonce_lab.tracesim import (
     training_nonces,
     write_trace_set,
 )
+
+from oracles import marker_columns
 
 
 def quiet_cfg(**overrides):
@@ -93,10 +101,10 @@ def test_trace_rejects_bad_sample_rate(rate):
 
 def test_recorder_rows_follow_emission_order():
     emitted = [
-        (OpKind.FIELD_MUL, 300, None),
+        (OpKind.FIELD_MUL, 300, -1),
         (OpKind.MASK_COMPUTE, 64, 1),
         (OpKind.STORE_A, 0, 0),
-        (OpKind.FIELD_ADD_SUB, 7, None),
+        (OpKind.FIELD_ADD_SUB, 7, -1),
     ]
     rec = EventRecorder()
     for kind, leak, cond in emitted:
@@ -118,6 +126,7 @@ def test_recorder_rows_follow_emission_order():
         (OpKind.STORE_B, 65, 1),
         (OpKind.DELTA_COMPUTE, 3, 2),
         (OpKind.MASK_COMPUTE, 0, -1),
+        (OpKind.FIELD_ADD_SUB, -1, -1),
     ],
 )
 def test_synthesize_rejects_invalid_events(kind, leak, cond):
@@ -126,6 +135,46 @@ def test_synthesize_rejects_invalid_events(kind, leak, cond):
     rec.emit(kind, leak, cond)
     with pytest.raises(DomainError):
         synthesize(rec, quiet_cfg())
+
+
+@pytest.mark.parametrize("cond", [-5, 2, 300, None, 0.5])
+@pytest.mark.parametrize("kind", [OpKind.FIELD_MUL, OpKind.MASK_COMPUTE])
+def test_synthesize_rejects_bad_cond_column(kind, cond):
+    rec = EventRecorder()
+    rec.emit(OpKind.FIELD_MUL, 0)
+    rec.extend((kind.code,), [1], cond)
+    with pytest.raises(DomainError):
+        synthesize(rec, quiet_cfg())
+
+
+@pytest.mark.parametrize("variant", list(SwapKind))
+def test_markers_of_mixed_recorder_match_event_by_event(toy, variant):
+    # Bursts, field ops and (combined) rerandomizations interleaved.
+    rec = EventRecorder()
+    montgomery_ladder(
+        Scalar.for_curve(0b10110011101, toy), toy.generator, toy,
+        SwapVariant(variant, rng_seed=3), rec,
+    )
+    G = ProjectivePoint.from_affine(*toy.generator, toy.field)
+    double_and_always_add(
+        Scalar.for_curve(0b1101, toy), G, toy, SwapVariant(variant, rng_seed=4), rec
+    )
+    cfg = quiet_cfg()
+    markers = synthesize(rec, cfg).markers
+    assert markers == MarkerTable(
+        *marker_columns(rec, cfg.samples_per_event, _DURATION_DIVISOR)
+    )
+    assert set(markers.conds.tolist()) == {-1, 0, 1}
+
+
+def test_noise_is_one_normal_draw_across_blocks():
+    # Long enough for several noise blocks and a partial last one.
+    events = flat_events(9000, leak=5)
+    quiet = synthesize(events, quiet_cfg(seed=6))
+    noisy = synthesize(events, quiet_cfg(seed=6, noise_sigma=2.5))
+    assert quiet.samples.size > 3 * tracesim._NOISE_BLOCK
+    expected = quiet.samples + np.random.default_rng(6).normal(0.0, 2.5, quiet.samples.size)
+    assert np.array_equal(noisy.samples, expected)
 
 
 def test_zero_leak_events_give_pure_carrier():
