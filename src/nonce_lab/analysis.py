@@ -135,7 +135,11 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
     """
     windows: list[LeakageTrace] = []
     labels: list[int] = []
+    # Window traces carry no markers and never change their meta, so all
+    # share one empty table and the windows of one trace one meta copy.
+    markers = MarkerTable.empty()
     for row, trace in enumerate(trace_set.traces):
+        meta = dict(trace.meta)
         for col, window in enumerate(swap_windows(trace)):
             if trace_set.interfered is not None and trace_set.interfered[row, col]:
                 continue
@@ -143,8 +147,8 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
                 LeakageTrace(
                     samples=trace.samples[window.start : window.end].copy(),
                     sample_rate=trace.sample_rate,
-                    markers=MarkerTable.empty(),
-                    meta=dict(trace.meta),
+                    markers=markers,
+                    meta=meta,
                 )
             )
             labels.append(window.cond)
@@ -319,6 +323,38 @@ def classify_batch(
     return (llr > 0.0).astype(np.int8), probabilities
 
 
+def swap_features(
+    train_set: TraceSet, cfg: SimConfig
+) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
+    """Profiling's first step: the envelope features of a window-level
+    training set, its labels, and the model metadata they carry.
+
+    The envelope width and the source's variant, word count and curve
+    ride along so scoring repeats the preprocessing.
+    """
+    median_samples = max(3, cfg.samples_per_event // 4)
+    trained_on = {"median_samples": str(median_samples)}
+    if train_set.traces:
+        for key in ("variant", "word_count", "curve"):
+            if key in train_set.traces[0].meta:
+                trained_on[key] = train_set.traces[0].meta[key]
+    return feature_matrix(train_set, median_samples), train_set.labels[:, 0], trained_on
+
+
+def fit_swap_features(
+    features: np.ndarray,
+    labels: np.ndarray,
+    trained_on: dict[str, str],
+    *,
+    poi_count: int = 64,
+    mode: str = "diag",
+) -> TemplateModel:
+    """Profiling's second step: poi by t-test strength, then templates."""
+    t_result = welch_t(features, labels)
+    poi = select_poi(t_result, min(poi_count, features.shape[1]))
+    return fit_templates(features, labels, poi, mode=mode, trained_on=trained_on)
+
+
 def fit_swap_classifier(
     train_set: TraceSet,
     cfg: SimConfig,
@@ -326,24 +362,10 @@ def fit_swap_classifier(
     poi_count: int = 64,
     mode: str = "diag",
 ) -> TemplateModel:
-    """Standard profiling pipeline for window-level training sets.
-
-    Envelopes every window, picks the poi by t-test strength, and fits
-    templates.  The envelope width and window length ride along in the
-    model metadata so scoring uses identical preprocessing.
-    """
-    median_samples = max(3, cfg.samples_per_event // 4)
-    features = feature_matrix(train_set, median_samples)
-    labels = train_set.labels[:, 0]
-    t_result = welch_t(features, labels)
-    poi = select_poi(t_result, min(poi_count, features.shape[1]))
-    trained_on = {"median_samples": str(median_samples)}
-    if train_set.traces:
-        for key in ("variant", "word_count", "curve"):
-            if key in train_set.traces[0].meta:
-                trained_on[key] = train_set.traces[0].meta[key]
-    return fit_templates(
-        features, labels, poi, mode=mode, trained_on=trained_on
+    """Standard profiling pipeline for window-level training sets:
+    ``swap_features`` then ``fit_swap_features``."""
+    return fit_swap_features(
+        *swap_features(train_set, cfg), poi_count=poi_count, mode=mode
     )
 
 

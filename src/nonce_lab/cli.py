@@ -9,8 +9,13 @@ artifacts alone.
 
 All randomness descends from the single root seed through labeled hash
 derivation, so outputs do not depend on ``--jobs`` or evaluation order.
-Wall-clock measurements never enter CSV or trace files; timing goes to
-a separate ``timing.txt``.
+``jobs`` defaults to every CPU this process may run on (``config.json``
+then echoes ``null``); at one job every task runs in this process.
+``attack`` profiles in those workers while it captures and aligns the
+victim trace: each training chunk is simulated, cut into swap windows and
+reduced to envelope features in one worker, and only the features come
+back.  Wall-clock measurements never enter CSV or trace files; timing
+goes to a separate ``timing.txt``.
 
 Exit codes: 0 on success, 1 for configuration or input problems, 2 when
 the analysis itself fails (alignment, recovery, failed verification).
@@ -20,6 +25,7 @@ Errors print one line to standard error: ``error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -27,7 +33,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -40,9 +46,11 @@ from .analysis import (
     export_t_csv,
     feature_matrix,
     fit_swap_classifier,
+    fit_swap_features,
     harvest_swap_windows,
     read_model,
     recover_nonce_bits,
+    swap_features,
     welch_t,
     write_model,
 )
@@ -135,7 +143,7 @@ _CONFIG_KEYS = {
     "multiplier": (_choice(*_MULTIPLIERS), "ladder"),
     "seed": (_optional(int), None),
     "out": (_optional(str), None),
-    "jobs": (int, 1),
+    "jobs": (_optional(int), None),
     "f_cpu": (float, _SIM_DEFAULTS["f_cpu"]),
     "sample_rate": (float, _SIM_DEFAULTS["sample_rate"]),
     "samples_per_event": (int, _SIM_DEFAULTS["samples_per_event"]),
@@ -210,7 +218,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = cast(flag)
     if values["seed"] is None:
         values["seed"] = 0
-    if values["jobs"] < 1:
+    if values["jobs"] is not None and values["jobs"] < 1:
         raise ConfigError("jobs must be at least 1")
     if values["out"] is None:
         values["out"] = f"out-{args.command}"
@@ -299,10 +307,37 @@ def _scalars_chunk(task) -> TraceSet:
     )
 
 
-def _run_chunks(worker, tasks, jobs: int) -> list:
-    if jobs == 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+class _InlineExecutor(Executor):
+    """Runs each task in this process as it is submitted."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@contextlib.contextmanager
+def _executor(jobs: int | None, tasks: int):
+    """A pool of ``min(jobs, tasks)`` worker processes, or this process
+    alone when that is one; ``jobs=None`` means every usable CPU.  On
+    exit, even by an error, queued tasks are dropped and the workers
+    joined."""
+    workers = min(jobs or len(os.sched_getaffinity(0)), tasks)
+    if workers <= 1:
+        yield _InlineExecutor()
+        return
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_chunks(worker, tasks, jobs: int | None) -> list:
+    with _executor(jobs, len(tasks)) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -319,12 +354,17 @@ def _simulate_windows(rc: RunConfig, seed: int) -> TraceSet:
     return _merge_sets(_run_chunks(_windows_chunk, tasks, rc.jobs))
 
 
-def _simulate_scalars(rc: RunConfig, seed: int, count: int) -> TraceSet:
+def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
     tasks = []
     for index, start in enumerate(range(0, count, _SCALAR_CHUNK)):
         size = min(_SCALAR_CHUNK, count - start)
         cfg = _sim_config(rc, derive_seed(seed, "scalars", index))
         tasks.append((rc.curve, rc.variant, rc.multiplier, size, cfg))
+    return tasks
+
+
+def _simulate_scalars(rc: RunConfig, seed: int, count: int) -> TraceSet:
+    tasks = _scalars_tasks(rc, seed, count)
     return _merge_sets(_run_chunks(_scalars_chunk, tasks, rc.jobs))
 
 
@@ -457,27 +497,31 @@ def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_for_attack(rc: RunConfig, seed: int):
-    # Each batch is harvested at once, so its full traces are freed early.
-    train_set = harvest_swap_windows(
-        _simulate_scalars(rc, derive_seed(seed, "train"), rc.train_count)
-    )
+def _training_chunk(task) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
+    # Harvested as soon as it is simulated, so a worker holds one chunk's
+    # full traces at a time and only the features leave it.
+    *_, cfg = task
+    return swap_features(harvest_swap_windows(_scalars_chunk(task)), cfg)
+
+
+def _fit_for_attack(rc: RunConfig, seed: int, chunks: list[Future], pool: Executor):
+    """Fit the attack's model from its training chunks' features, joined
+    in chunk order, so the model is the same at any ``jobs``."""
+    parts = [chunk.result() for chunk in chunks]
+    labels = np.concatenate([part[1] for part in parts])
     # Each training trace draws the mostly-swap or the mostly-hold nonce;
     # the ladder's mostly-swap nonce yields only cond = 1 windows, so when
     # every draw picks it one class is empty.  Further chunks under their
     # own seeds are added until both classes can be fitted.
     extra = 0
-    while np.bincount(train_set.labels.ravel(), minlength=2).min() < 2:
-        more = harvest_swap_windows(
-            _simulate_scalars(
-                rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK
-            )
-        )
-        train_set = _merge_sets([train_set, more])
+    while np.bincount(labels, minlength=2).min() < 2:
+        (task,) = _scalars_tasks(rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK)
+        parts.append(pool.submit(_training_chunk, task).result())
+        labels = np.concatenate((labels, parts[-1][1]))
         extra += 1
-    cfg = _sim_config(rc, 0)
-    return fit_swap_classifier(
-        train_set, cfg, poi_count=rc.poi_count, mode=rc.template_mode
+    features = np.concatenate([part[0] for part in parts])
+    return fit_swap_features(
+        features, labels, parts[0][2], poi_count=rc.poi_count, mode=rc.template_mode
     )
 
 
@@ -485,38 +529,40 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, "attack")
     curve = get_curve(rc.curve)
     seed = rc.seed
-    key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
-    rng = random.Random(derive_seed(seed, "sign"))
-    digest = rc.digest if rc.digest is not None else rng.randrange(1, curve.n)
+    model = read_model(args.model) if args.model else None
+    tasks = _scalars_tasks(rc, derive_seed(seed, "train"), rc.train_count) if model is None else []
+    # The profiling chunks run in the workers while this process captures
+    # and aligns the victim trace, which needs no model.
+    with _executor(rc.jobs, len(tasks)) as pool:
+        training = [pool.submit(_training_chunk, task) for task in tasks]
+        key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
+        rng = random.Random(derive_seed(seed, "sign"))
+        digest = rc.digest if rc.digest is not None else rng.randrange(1, curve.n)
 
-    recorder = EventRecorder()
-    swap_impl = SwapVariant(
-        SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63
-    )
-    sig, nonce = sign(digest, key, rng, rc.multiplier, swap_impl, recorder)
-    trace = synthesize(
-        recorder,
-        _sim_config(rc, derive_seed(seed, "capture")),
-        meta={
-            "curve": curve.name,
-            "variant": rc.variant,
-            "multiplier": rc.multiplier,
-        },
-    )
-    truth = [w.cond for w in swap_windows(trace)]
-    write_trace_set(
-        TraceSet([trace], np.asarray([truth], dtype=np.int8)), out / "trace.trc"
-    )
+        recorder = EventRecorder()
+        swap_impl = SwapVariant(
+            SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63
+        )
+        sig, nonce = sign(digest, key, rng, rc.multiplier, swap_impl, recorder)
+        trace = synthesize(
+            recorder,
+            _sim_config(rc, derive_seed(seed, "capture")),
+            meta={
+                "curve": curve.name,
+                "variant": rc.variant,
+                "multiplier": rc.multiplier,
+            },
+        )
+        truth = [w.cond for w in swap_windows(trace)]
+        write_trace_set(
+            TraceSet([trace], np.asarray([truth], dtype=np.int8)), out / "trace.trc"
+        )
+        windows = align_swaps(trace, curve, _sim_config(rc, 0), multiplier=rc.multiplier)
+        write_windows_csv(windows, out / "windows.csv")
+        if model is None:
+            model = _fit_for_attack(rc, seed, training, pool)
+            write_model(model, out / "model.tmpl")
 
-    if args.model:
-        model = read_model(args.model)
-    else:
-        model = _train_for_attack(rc, seed)
-        write_model(model, out / "model.tmpl")
-
-    cfg = _sim_config(rc, 0)
-    windows = align_swaps(trace, curve, cfg, multiplier=rc.multiplier)
-    write_windows_csv(windows, out / "windows.csv")
     estimate = recover_nonce_bits(trace, model, windows, rc.multiplier)
 
     width = curve.n.bit_length()
@@ -656,7 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--curve", help="curve name, e.g. secp521r1")
     common.add_argument("--variant", choices=_VARIANTS, help="conditional-swap variant")
     common.add_argument("--multiplier", choices=_MULTIPLIERS, help="scalar multiplier")
-    common.add_argument("--jobs", type=int, help="worker processes for generation/grids")
+    common.add_argument(
+        "--jobs", type=int, help="worker processes (default: every usable CPU)"
+    )
     common.add_argument("--out", metavar="DIR", help="output directory")
 
     parser = argparse.ArgumentParser(

@@ -138,7 +138,9 @@ def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     n = x.size + kernel.size - 1
     size = next_fast_len(n, True)
-    return irfftn(rfftn(x, [size]) * rfftn(kernel, [size]), [size])[:n]
+    spectrum = rfftn(x, [size])
+    spectrum *= rfftn(kernel, [size])
+    return irfftn(spectrum, [size])[:n]
 
 
 def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
@@ -254,14 +256,28 @@ def _normalized_xcorr(envelope: np.ndarray, template: np.ndarray) -> np.ndarray:
         raise AlignmentError("pattern template is constant")
     width = template.size
     # Only the lags where the template lies wholly inside the envelope.
-    numerator = _fft_convolve(envelope, t[::-1])[width - 1 : envelope.size]
-    cumulative = np.concatenate(([0.0], np.cumsum(envelope)))
-    cumulative_sq = np.concatenate(([0.0], np.cumsum(envelope**2)))
-    window_sum = cumulative[width:] - cumulative[:-width]
-    window_sq = cumulative_sq[width:] - cumulative_sq[:-width]
-    variance = np.maximum(window_sq - window_sum**2 / width, 0.0)
-    denominator = np.sqrt(variance) * t_norm
-    return numerator / np.maximum(denominator, 1e-12)
+    out = _fft_convolve(envelope, t[::-1])[width - 1 : envelope.size]
+    # Both running sums share one buffer with a leading zero; the window
+    # statistics then finish in place, in the order of the plain formula
+    # sqrt(max(sq - sum**2 / width, 0)) * |t|.
+    running = np.empty(envelope.size + 1)
+    running[0] = 0.0
+    np.cumsum(envelope, out=running[1:])
+    window_sum = running[width:] - running[:-width]
+    np.square(envelope, out=running[1:])
+    np.cumsum(running[1:], out=running[1:])
+    spread = running[width:] - running[:-width]
+    del running
+    np.square(window_sum, out=window_sum)
+    window_sum /= width
+    spread -= window_sum
+    del window_sum
+    np.maximum(spread, 0.0, out=spread)
+    np.sqrt(spread, out=spread)
+    spread *= t_norm
+    np.maximum(spread, 1e-12, out=spread)
+    out /= spread
+    return out
 
 
 def _peak_positions(
@@ -476,9 +492,9 @@ def align_swaps(
     template = _pattern_template(curve, cfg, multiplier, spec)
     if template.size > trace.samples.size:
         raise AlignmentError("trace is shorter than one iteration")
-    filtered = bandpass(trace, spec)
+    # The band-passed trace is dropped as soon as its envelope exists.
     envelope = rectified_envelope(
-        filtered.samples, max(3, cfg.samples_per_event // 4)
+        bandpass(trace, spec).samples, max(3, cfg.samples_per_event // 4)
     )
     corr = _normalized_xcorr(envelope, template)
     width = template.size

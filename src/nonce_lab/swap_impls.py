@@ -91,6 +91,21 @@ class WordArrayPair:
         object.__setattr__(self, "word_count", word_count)
 
 
+# The slots' own setters: ct_swap's output pair holds its validated input
+# pair's operands, so it is built without running the range checks again.
+_SET_A = WordArrayPair.a.__set__
+_SET_B = WordArrayPair.b.__set__
+_SET_WORD_COUNT = WordArrayPair.word_count.__set__
+
+
+def _trusted_pair(a: tuple, b: tuple, word_count: int) -> WordArrayPair:
+    pair = object.__new__(WordArrayPair)
+    _SET_A(pair, a)
+    _SET_B(pair, b)
+    _SET_WORD_COUNT(pair, word_count)
+    return pair
+
+
 @functools.cache
 def _burst_kinds(kind: SwapKind, words: int) -> tuple[int, ...]:
     """OpKind codes of one swap burst: the mask(s), one group per word, and
@@ -154,7 +169,7 @@ def ct_swap(
         if recorder is None:  # only the blinding words are drawn
             rng.getrandbits(WORD_BITS * len(order))
     if recorder is None:
-        return WordArrayPair(new_a, new_b, wc)
+        return _trusted_pair(new_a, new_b, wc)
 
     shifts = range(0, WORD_BITS * wc, WORD_BITS)
     mask_weight = WORD_BITS * cond
@@ -187,4 +202,4 @@ def ct_swap(
             )
         leaks.append(WORD_BITS * (cond ^ share1))
     recorder.extend(_burst_kinds(kind, len(a) * wc), leaks, cond)
-    return WordArrayPair(new_a, new_b, wc)
+    return _trusted_pair(new_a, new_b, wc)

@@ -260,6 +260,27 @@ def scipy_normalized_xcorr(envelope, template):
     return numerator / np.maximum(denominator, 1e-12)
 
 
+def plain_normalized_xcorr(envelope, template):
+    """Per-window normalized cross-correlation written as plain formulas,
+    one fresh array per step, with the FFT convolution spelled out."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
+    t = template - template.mean()
+    t_norm = float(np.linalg.norm(t))
+    width = template.size
+    n = envelope.size + width - 1
+    size = next_fast_len(n, True)
+    full = irfftn(rfftn(envelope, [size]) * rfftn(t[::-1], [size]), [size])[:n]
+    numerator = full[width - 1 : envelope.size]
+    cumulative = np.concatenate(([0.0], np.cumsum(envelope)))
+    cumulative_sq = np.concatenate(([0.0], np.cumsum(envelope**2)))
+    window_sum = cumulative[width:] - cumulative[:-width]
+    window_sq = cumulative_sq[width:] - cumulative_sq[:-width]
+    variance = np.maximum(window_sq - window_sum**2 / width, 0.0)
+    denominator = np.sqrt(variance) * t_norm
+    return numerator / np.maximum(denominator, 1e-12)
+
+
 def per_window_estimate(trace, model, windows, multiplier):
     """Condition guesses and class-1 probabilities, one window at a time.
 

@@ -1,7 +1,9 @@
 """Tests for leakage assessment and template classification."""
 
+import ast
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,44 @@ def test_harvest_turns_full_traces_into_window_sets(toy):
     flagged[0, :] = True
     masked = harvest_swap_windows(TraceSet(ts.traces, ts.labels, flagged))
     assert len(masked.traces) == 5 * width
+
+
+def test_harvested_windows_share_markers_and_one_meta_per_trace(toy):
+    cfg = SimConfig(samples_per_event=8, noise_sigma=0.5, seed=6)
+    ts = generate_training_set(toy, SwapKind.PLAIN, 3, cfg, np.random.default_rng(5))
+    harvested = harvest_swap_windows(ts)
+    width = toy.n.bit_length()
+    assert len({id(t.markers) for t in harvested.traces}) == 1
+    assert len(harvested.traces[0].markers) == 0
+    for row, trace in enumerate(ts.traces):
+        metas = [t.meta for t in harvested.traces[row * width : (row + 1) * width]]
+        assert all(meta is metas[0] for meta in metas)
+        assert metas[0] == trace.meta and metas[0] is not trace.meta
+
+
+_DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_meta(node):
+    return isinstance(node, ast.Attribute) and node.attr == "meta"
+
+
+def test_no_module_mutates_a_trace_meta_in_place():
+    """Harvested windows share one meta dict per source trace, which is
+    sound while no code writes into a ``.meta`` dict it did not make."""
+    src = Path(__file__).resolve().parents[1] / "src" / "nonce_lab"
+    writes = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and _is_meta(node.value):
+                if not isinstance(node.ctx, ast.Load):
+                    writes.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _DICT_MUTATORS and _is_meta(node.func.value):
+                    writes.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.AugAssign) and _is_meta(node.target):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
 
 
 def test_noiseless_plain_windows_classify_perfectly():

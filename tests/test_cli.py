@@ -1,6 +1,7 @@
 """Command-line behavior: config resolution, artifacts, determinism."""
 
 import json
+import multiprocessing
 import os
 import random
 import struct
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import nonce_lab
+from nonce_lab import cli
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
+from nonce_lab.errors import AlignmentError
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
 from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path
 
@@ -23,6 +26,20 @@ def run_cli(*argv):
 def assert_one_error_line(capsys, kind):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
+
+
+def _outputs(out):
+    """Every output file's bytes; config.json without its out and jobs lines."""
+    blobs = {}
+    for path in sorted(out.iterdir()):
+        blob = path.read_bytes()
+        if path.name == "config.json":
+            blob = b"".join(
+                line for line in blob.splitlines(keepends=True)
+                if not line.lstrip().startswith((b'"out":', b'"jobs":'))
+            )
+        blobs[path.name] = blob
+    return blobs
 
 
 def test_cli_import_loads_no_scipy_signal_or_stats():
@@ -66,7 +83,9 @@ class TestConfigResolution:
         assert rc.curve == "secp521r1"
         assert rc.variant == "plain"
         assert rc.seed == 0
-        assert rc.jobs == 1
+        # None: every CPU the process may run on, resolved at use, so
+        # config.json reads the same on every machine.
+        assert rc.jobs is None
         assert rc.out == "out-keygen"
 
     def test_flags_override_file(self, tmp_path):
@@ -276,6 +295,16 @@ class TestAttack:
         values.update(extra)
         return write_config(tmp_path / "atk.json", **values)
 
+    def attack_outputs(self, tmp_path, *argv):
+        # Training chunks run in worker processes while the victim trace
+        # is captured and aligned; none of that may show in the outputs.
+        runs = {}
+        for name, jobs in (("one", ["--jobs", 1]), ("two", ["--jobs", 2]), ("default", [])):
+            out = tmp_path / name
+            runs[name] = run_cli("attack", *argv, *jobs, "--out", out), _outputs(out)
+        assert runs["one"] == runs["two"] == runs["default"]
+        return runs["one"]
+
     def test_noiseless_attack_recovers_key(self, tmp_path, capsys):
         cfg = self.attack_config(tmp_path)
         out = tmp_path / "atk"
@@ -319,16 +348,50 @@ class TestAttack:
 
     def test_attack_survives_one_class_training_draw(self, tmp_path):
         # All eight training draws at this seed pick the mostly-swap
-        # nonce, whose ladder windows are all cond = 1.
-        code = run_cli(
-            "attack", "--curve", "secp521r1", "--seed", 8501952792049665477,
-            "--out", tmp_path / "atk",
+        # nonce, whose ladder windows are all cond = 1, so the fit waits
+        # for an extra chunk from the pool.
+        code, _ = self.attack_outputs(
+            tmp_path, "--curve", "secp521r1", "--seed", 8501952792049665477
         )
         assert code in (0, 2)
 
     def test_attack_daa_multiplier(self, tmp_path):
         cfg = self.attack_config(tmp_path, multiplier="daa")
         assert run_cli("attack", "--config", cfg, "--out", tmp_path / "daa") == 0
+
+    @pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+    def test_outputs_identical_at_any_jobs(self, tmp_path, multiplier):
+        cfg = self.attack_config(tmp_path, multiplier=multiplier)
+        code, blobs = self.attack_outputs(tmp_path, "--config", cfg)
+        assert code == 0
+        assert {"trace.trc", "model.tmpl", "windows.csv", "attack.csv", "summary.json"} <= set(blobs)
+        assert b'"jobs": null' in (tmp_path / "default/config.json").read_bytes()
+
+    def test_failed_alignment_leaves_no_worker_running(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AlignmentError("planted")
+
+        monkeypatch.setattr(cli, "align_swaps", fail)
+        cfg = self.attack_config(tmp_path)
+        assert run_cli("attack", "--config", cfg, "--jobs", 2, "--out", tmp_path / "o") == 2
+        assert_one_error_line(capsys, "alignment")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reads_the_same_at_any_jobs(self, tmp_path, capsys):
+        # Every training window lies under the burst, so each chunk
+        # worker's harvest finds nothing to keep; the victim capture
+        # carries no interference and aligns as usual.
+        cfg = self.attack_config(tmp_path, interference=[[0.0, 1.0, 1.0]])
+        errors = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert run_cli("attack", "--config", cfg, "--jobs", jobs, "--out", out) == 1
+            errors.append(capsys.readouterr().err.splitlines())
+            assert (out / "windows.csv").exists() and not (out / "model.tmpl").exists()
+        assert errors[0] == errors[1]
+        assert len(errors[0]) == 1
+        assert errors[0][0] == "error: input: no usable swap windows to harvest"
+        assert multiprocessing.active_children() == []
 
 
 class TestRecoverCommand:

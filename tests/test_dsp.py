@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonce_lab.dsp import (
     FilterSpec,
@@ -35,6 +36,7 @@ from nonce_lab.tracesim import (
 from oracles import (
     greedy_peak_positions,
     median_split_steps,
+    plain_normalized_xcorr,
     scipy_bandpass,
     scipy_normalized_xcorr,
     step_peak_groups,
@@ -135,6 +137,26 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
     assert (
         _normalized_xcorr(envelope, template).tobytes()
         == scipy_normalized_xcorr(envelope, template).tobytes()
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4000),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.9),
+    st.data(),
+)
+def test_in_place_xcorr_matches_plain_formulas(n, seed, flat, data):
+    width = data.draw(st.integers(2, n), label="width")
+    rng = np.random.default_rng(seed)
+    envelope = np.abs(rng.normal(size=n)) * rng.uniform(0.01, 100.0)
+    # A flat stretch drives the window variance to zero and onto the floor.
+    envelope[: int(flat * n)] = 1.5
+    template = np.abs(rng.normal(size=width))
+    assert (
+        _normalized_xcorr(envelope, template).tobytes()
+        == plain_normalized_xcorr(envelope, template).tobytes()
     )
 
 
