@@ -9,13 +9,15 @@ artifacts alone.
 
 All randomness descends from the single root seed through labeled hash
 derivation, so outputs do not depend on ``--jobs`` or evaluation order.
-``jobs`` defaults to every CPU this process may run on (``config.json``
-then echoes ``null``); at one job every task runs in this process.
-``attack`` profiles in those workers while it captures and aligns the
-victim trace: each training chunk is simulated, cut into swap windows and
-reduced to envelope features in one worker, and only the features come
-back.  Wall-clock measurements never enter CSV or trace files; timing
-goes to a separate ``timing.txt``.
+``jobs`` defaults to ``None`` (``config.json`` echoes ``null``): every
+CPU this process may run on for ``attack`` and ``experiment``, and this
+process alone for ``simulate``, whose traces take about as long to move
+between processes as to make.  At one job every task runs in this
+process.  ``attack`` profiles in the workers while it captures and
+aligns the victim trace: each training chunk is simulated, cut into swap
+windows and reduced to envelope features in one worker, and only the
+features come back.  Wall-clock measurements never enter CSV or trace
+files; timing goes to a separate ``timing.txt``.
 
 Exit codes: 0 on success, 1 for configuration or input problems, 2 when
 the analysis itself fails (alignment, recovery, failed verification).
@@ -323,9 +325,14 @@ class _InlineExecutor(Executor):
 def _executor(jobs: int | None, tasks: int):
     """A pool of ``min(jobs, tasks)`` worker processes, or this process
     alone when that is one; ``jobs=None`` means every usable CPU.  On
-    exit, even by an error, queued tasks are dropped and the workers
-    joined."""
-    workers = min(jobs or len(os.sched_getaffinity(0)), tasks)
+    exit, even by an error, the workers are joined."""
+    if jobs is None:
+        # The CPUs this process may run on; only some systems can say.
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
+    workers = min(jobs, tasks)
     if workers <= 1:
         yield _InlineExecutor()
         return
@@ -333,7 +340,7 @@ def _executor(jobs: int | None, tasks: int):
     try:
         yield pool
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True)
 
 
 def _run_chunks(worker, tasks, jobs: int | None) -> list:
@@ -341,7 +348,7 @@ def _run_chunks(worker, tasks, jobs: int | None) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _simulate_windows(rc: RunConfig, seed: int) -> TraceSet:
+def _windows_tasks(rc: RunConfig, seed: int) -> list:
     # Exactly balanced classes in seed-derived order; chunk boundaries
     # are fixed so the output is identical for every jobs value.
     conds = np.repeat([0, 1], [(rc.count + 1) // 2, rc.count // 2])
@@ -351,7 +358,7 @@ def _simulate_windows(rc: RunConfig, seed: int) -> TraceSet:
         chunk = conds[start : start + _WINDOW_CHUNK]
         cfg = _sim_config(rc, derive_seed(seed, "windows", index))
         tasks.append((rc.variant, rc.word_count, [int(c) for c in chunk], cfg))
-    return _merge_sets(_run_chunks(_windows_chunk, tasks, rc.jobs))
+    return tasks
 
 
 def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
@@ -361,11 +368,6 @@ def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
         cfg = _sim_config(rc, derive_seed(seed, "scalars", index))
         tasks.append((rc.curve, rc.variant, rc.multiplier, size, cfg))
     return tasks
-
-
-def _simulate_scalars(rc: RunConfig, seed: int, count: int) -> TraceSet:
-    tasks = _scalars_tasks(rc, seed, count)
-    return _merge_sets(_run_chunks(_scalars_chunk, tasks, rc.jobs))
 
 
 def _window_level(trace_set: TraceSet, source: str) -> TraceSet:
@@ -438,9 +440,12 @@ def cmd_simulate(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, "simulate")
     seed = derive_seed(rc.seed, "simulate")
     if rc.shape == "windows":
-        trace_set = _simulate_windows(rc, seed)
+        worker, tasks = _windows_chunk, _windows_tasks(rc, seed)
     else:
-        trace_set = _simulate_scalars(rc, seed, rc.count)
+        worker, tasks = _scalars_chunk, _scalars_tasks(rc, seed, rc.count)
+    # Whole traces take about as long to pickle back from a worker as to
+    # make, so a campaign runs in this process unless --jobs asks for more.
+    trace_set = _merge_sets(_run_chunks(worker, tasks, rc.jobs or 1))
     write_trace_set(trace_set, out / "traces.trc")
     print(
         f"wrote {len(trace_set.traces)} {rc.shape} trace(s) "
@@ -703,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--variant", choices=_VARIANTS, help="conditional-swap variant")
     common.add_argument("--multiplier", choices=_MULTIPLIERS, help="scalar multiplier")
     common.add_argument(
-        "--jobs", type=int, help="worker processes (default: every usable CPU)"
+        "--jobs", type=int,
+        help="worker processes (default: every usable CPU; 1 for simulate)",
     )
     common.add_argument("--out", metavar="DIR", help="output directory")
 

@@ -87,6 +87,11 @@ class Field:
         """Return the function reducing any integer into ``[0, p)``."""
         return self._red
 
+    def __reduce__(self):
+        # The reducer may be a closure, which cannot be pickled; a worker
+        # process rebuilds it from ``p``.
+        return Field, (self.p,)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.p == self.p
 

@@ -91,21 +91,6 @@ class WordArrayPair:
         object.__setattr__(self, "word_count", word_count)
 
 
-# The slots' own setters: ct_swap's output pair holds its validated input
-# pair's operands, so it is built without running the range checks again.
-_SET_A = WordArrayPair.a.__set__
-_SET_B = WordArrayPair.b.__set__
-_SET_WORD_COUNT = WordArrayPair.word_count.__set__
-
-
-def _trusted_pair(a: tuple, b: tuple, word_count: int) -> WordArrayPair:
-    pair = object.__new__(WordArrayPair)
-    _SET_A(pair, a)
-    _SET_B(pair, b)
-    _SET_WORD_COUNT(pair, word_count)
-    return pair
-
-
 @functools.cache
 def _burst_kinds(kind: SwapKind, words: int) -> tuple[int, ...]:
     """OpKind codes of one swap burst: the mask(s), one group per word, and
@@ -142,7 +127,8 @@ def ct_swap(
 ) -> WordArrayPair:
     """Swap ``pair`` when ``cond`` is 1, in constant operation count.
 
-    Returns a new pair; the input is never mutated. With a recorder, appends
+    Returns the swapped pair, or the (immutable) input itself when ``cond``
+    is 0, so only a swap builds and checks a new pair. With a recorder, appends
     the variant's per-word event burst, ``cond`` on every event, in one go.
     All variants produce identical outputs for identical inputs; only the
     event streams differ.
@@ -155,7 +141,7 @@ def ct_swap(
     a, b, wc = pair.a, pair.b, pair.word_count
     # Each coordinate moves by its masked XOR delta: a ^ b on a swap, else 0.
     deltas = [u ^ v for u, v in zip(a, b)] if cond else [0] * len(a)
-    new_a, new_b = (b, a) if cond else (a, b)
+    out = WordArrayPair(b, a, wc) if cond else pair
     kind = variant.kind
     rng = variant.rng
     if kind is SwapKind.MASKED:
@@ -169,7 +155,7 @@ def ct_swap(
         if recorder is None:  # only the blinding words are drawn
             rng.getrandbits(WORD_BITS * len(order))
     if recorder is None:
-        return _trusted_pair(new_a, new_b, wc)
+        return out
 
     shifts = range(0, WORD_BITS * wc, WORD_BITS)
     mask_weight = WORD_BITS * cond
@@ -179,7 +165,7 @@ def ct_swap(
     elif kind is SwapKind.LIBGCRYPT:
         # The AND/OR selects resolve to the output words; the stores then
         # overwrite each old word with its selected one.
-        selected = (_weights(new_a, shifts), _weights(new_b, shifts))
+        selected = (_weights(out.a, shifts), _weights(out.b, shifts))
         leaks = _burst((mask_weight, WORD_BITS - mask_weight), (*selected, d, d))
     elif kind is SwapKind.MASKED:
         leaks = _burst((mask_weight,), (_weights(blinded, shifts), d, d))
@@ -202,4 +188,4 @@ def ct_swap(
             )
         leaks.append(WORD_BITS * (cond ^ share1))
     recorder.extend(_burst_kinds(kind, len(a) * wc), leaks, cond)
-    return _trusted_pair(new_a, new_b, wc)
+    return out

@@ -88,6 +88,18 @@ class TestConfigResolution:
         assert rc.jobs is None
         assert rc.out == "out-keygen"
 
+    @pytest.mark.parametrize("cpus, inline", [(None, True), (1, True), (3, False)])
+    def test_default_jobs_without_cpu_affinity(self, monkeypatch, cpus, inline):
+        # Where the system cannot report the usable CPUs, the default
+        # falls back to the CPU count, and to this process alone when
+        # that is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with cli._executor(None, 2) as pool:
+            assert isinstance(pool, cli._InlineExecutor) is inline
+            assert pool.submit(sum, (1, 2)).result() == 3
+        assert multiprocessing.active_children() == []
+
     def test_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", curve="toy16", seed=11, count=5)
         rc = resolve_config(self.parse("keygen", "--config", cfg, "--seed", 99))
@@ -153,6 +165,27 @@ class TestConfigResolution:
         assert derive_seed(1, "a") != derive_seed(1, "b")
         assert derive_seed(1, "a") != derive_seed(2, "a")
         assert 0 <= derive_seed(0, "x") < 2**64
+
+
+def test_unpicklable_task_raises_and_joins_the_workers():
+    # A task that cannot reach a worker fails its future; the error must
+    # surface and the workers be joined, not wait for its result forever.
+    src = str(Path(nonce_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import multiprocessing, pickle\n"
+        "from nonce_lab import cli\n"
+        "try:\n"
+        "    cli._run_chunks(abs, [lambda: 1, lambda: 2, 3], 2)\n"
+        "except pickle.PicklingError:\n"
+        "    print('raised', multiprocessing.active_children())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "raised []"
 
 
 class TestKeySignVerify:
@@ -231,6 +264,22 @@ class TestSimulatePipeline:
         lines = (tmp_path / "cls/predictions.csv").read_text().splitlines()
         assert lines[0] == "window_index,cond_guess,probability,label"
         assert len(lines) == 81
+
+    @pytest.mark.parametrize("shape", ["windows", "scalars"])
+    def test_simulate_defaults_to_one_process(self, tmp_path, toy_sim_config, monkeypatch, shape):
+        # Its traces take about as long to pickle back from a worker as
+        # to make, so only --jobs starts a pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("simulate started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        argv = ["--config", toy_sim_config, "--curve", "toy16", "--shape", shape]
+        if shape == "scalars":
+            argv += ["--count", 8]
+        assert run_cli("simulate", *argv, "--out", tmp_path / "s") == 0
+        assert b'"jobs": null' in (tmp_path / "s/config.json").read_bytes()
+        with pytest.raises(AssertionError, match="process pool"):
+            run_cli("simulate", *argv, "--jobs", 2, "--out", tmp_path / "two")
 
     def test_simulate_byte_identical_across_jobs(self, tmp_path, toy_sim_config):
         for name, jobs in (("one", 1), ("two", 2)):
@@ -524,6 +573,24 @@ class TestExperimentCommand:
         assert lines[1] == "12,3,0,4,4"
         assert lines[2] == "12,3,1,4,0"
         assert (out / "timing.txt").exists()
+
+    def test_wide_curve_grid_in_workers(self, tmp_path):
+        # secp521r1's field reduces through a closure; its cells must
+        # still reach the workers.
+        cfg = write_config(
+            tmp_path / "wide.json", curve="secp521r1", grid_leak_bits=[300],
+            grid_signatures=[2], grid_error_rates=[0.0, 1.0], trials=2,
+        )
+        for name, jobs in (("one", ["--jobs", 1]), ("two", ["--jobs", 2]), ("default", [])):
+            assert run_cli(
+                "experiment", "--config", cfg, "--seed", 2, *jobs,
+                "--out", tmp_path / name,
+            ) == 0
+        results = {
+            (tmp_path / name / "results.csv").read_bytes() for name in ("one", "two", "default")
+        }
+        assert len(results) == 1
+        assert multiprocessing.active_children() == []
 
     def test_grid_byte_identical_across_jobs(self, tmp_path):
         cfg = self.grid_config(tmp_path)

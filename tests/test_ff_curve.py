@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,22 @@ def test_traced_field_ops_match_int_arithmetic(p, data):
     assert shl(a, 3) == (a << 3) % p
     if a:
         assert inverse_mod(a, p) * a % p == 1
+
+
+@pytest.mark.parametrize("p", MODULI)
+def test_field_and_curve_pickle(p):
+    # Worker processes receive curves by pickle; a wide pseudo-Mersenne
+    # modulus reduces through a closure, which is rebuilt, not pickled.
+    field = pickle.loads(pickle.dumps(Field(p)))
+    assert field == Field(p)
+    z = (p - 2) * (p - 3)
+    assert field.reducer()(z) == z % p
+    curve = get_curve("secp521r1")
+    copy = pickle.loads(pickle.dumps(curve))
+    assert copy.field == curve.field
+    assert (copy.name, copy.a, copy.b, copy.generator, copy.n) == (
+        curve.name, curve.a, curve.b, curve.generator, curve.n
+    )
 
 
 def test_inverse_of_zero_raises():
