@@ -3,10 +3,12 @@
 Each signature whose nonce has ``l`` known low bits yields a linear
 congruence on the key: writing k = a + 2^l * b with known a turns the
 signing equation into b = t*d + u (mod n) where b is unusually small.
-Stacking m congruences and embedding them in a scaled integer lattice
-makes (b_1 .. b_m, d, const) an exceptionally short vector, which LLL
-finds; the key is read off the reduced basis and verified against the
-public point before being reported.
+Dividing every congruence by the first one's eliminates d, and shifting
+each b by the middle of its range leaves m hidden values of at most
+n / 2^(l+1) each. Embedded in an (m+1)-dimensional integer lattice they
+form an exceptionally short vector, which LLL finds; the key is read off
+the reduced basis and verified against the public point before being
+reported.
 
 LLL runs a floating-point pass for the bulk of the work and exact integral
 passes to finish and to verify; the rows are exact integers throughout, and
@@ -73,6 +75,9 @@ class HnpInstance:
         widths = {s.leak_bits for s in self.samples}
         if len(widths) != 1:
             raise DomainError("the baseline solver needs a uniform leak width")
+        for i, sample in enumerate(self.samples):
+            if not (0 < sample.r < self.modulus and 0 < sample.s < self.modulus):
+                raise DomainError(f"sample {i}: r and s must lie in [1, n)")
 
     @property
     def leak_bits(self) -> int:
@@ -81,10 +86,9 @@ class HnpInstance:
 
 @dataclass(frozen=True, slots=True)
 class LatticeBasis:
-    """Integer row basis plus the per-coordinate scaling it was built with."""
+    """Integer row basis."""
 
     rows: tuple[tuple[int, ...], ...]
-    weight: int
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -173,31 +177,38 @@ def hnp_coefficients(inst: HnpInstance) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_lattice(inst: HnpInstance, weight: int | None = None) -> LatticeBasis:
-    """Kannan-style embedding of the instance, (m+2)-dimensional.
+def _centre(inst: HnpInstance) -> int:
+    """The middle of each hidden b_i's range [0, n / 2^l)."""
+    return inst.modulus >> (inst.leak_bits + 1)
 
-    Coordinates 0..m-1 carry the b_i scaled by ``weight`` so that every
-    coordinate of the planted vector (weight*b_1 .. weight*b_m, d, n)
-    has comparable magnitude; the default weight 2^(l+1) puts each at
-    most 2n.  Rows: weight*n*e_i for i < m, then (weight*t_i .., 1, 0),
-    then (weight*u_i .., 0, n).
+
+def build_lattice(inst: HnpInstance) -> LatticeBasis:
+    """Kannan embedding of the instance with d eliminated, (m+1)-dimensional.
+
+    The first sample is the pivot: with t_i' = t_i / t_0, b_i = t_i' * b_0
+    + (u_i - t_i' * u_0) (mod n) no longer involves d.  Recentred on
+    c = n >> (l+1), each beta_i = b_i - c lies within about c of 0 and
+    beta_i = t_i' * beta_0 + u_i' (mod n) with u_i' = t_i' * (c - u_0)
+    + u_i - c.  Rows: n*e_i for 0 < i < m, then (1, t_1' .., 0), then
+    (0, u_1' .., K) with Kannan constant K = max(1, c), so the planted
+    vector (beta_0 .. beta_{m-1}, K) has every coordinate near c, and no
+    entry of the basis exceeds n.
     """
     n = inst.modulus
     m = len(inst.samples)
-    if weight is None:
-        weight = 1 << (inst.leak_bits + 1)
-    if weight < 1:
-        raise DomainError("weight must be positive")
-    pairs = hnp_coefficients(inst)
-    dim = m + 2
+    c = _centre(inst)
+    (t0, u0), *rest = hnp_coefficients(inst)
+    t0_inv = inverse_mod(t0, n)
+    ts = [t * t0_inv % n for t, _ in rest]
+    us = [(t * (c - u0) + u - c) % n for t, (_, u) in zip(ts, rest)]
     rows: list[list[int]] = []
-    for i in range(m):
-        row = [0] * dim
-        row[i] = weight * n
+    for i in range(1, m):
+        row = [0] * (m + 1)
+        row[i] = n
         rows.append(row)
-    rows.append([weight * t for t, _ in pairs] + [1, 0])
-    rows.append([weight * u for _, u in pairs] + [0, n])
-    return LatticeBasis(tuple(tuple(r) for r in rows), weight)
+    rows.append([1, *ts, 0])
+    rows.append([0, *us, max(1, c)])
+    return LatticeBasis(tuple(tuple(r) for r in rows))
 
 
 def _dot(x: list[int], y: list[int]) -> int:
@@ -407,18 +418,26 @@ def lll_reduce(
         ]
         if rebuilt != row:
             raise DomainError("row-operation audit does not reproduce the basis")
-    return LatticeBasis(tuple(tuple(r) for r in rows), basis.weight)
+    return LatticeBasis(tuple(tuple(r) for r in rows))
 
 
-def _candidate_keys(reduced: LatticeBasis, n: int) -> list[int]:
-    """Key candidates read from rows whose embedding coordinate is +-n."""
+def _candidate_keys(reduced: LatticeBasis, inst: HnpInstance) -> list[int]:
+    """Key candidates read from rows whose embedding coordinate is +-K.
+
+    Such a row is +-(beta_0 .., K); beta_0 gives b_0 and b_0 the key.
+    """
+    n = inst.modulus
+    c = _centre(inst)
+    kannan = max(1, c)
+    t0, u0 = hnp_coefficients(inst)[0]
+    t0_inv = inverse_mod(t0, n)
     out = []
     for row in reduced.rows:
-        tail = row[-1]
-        if tail != 0 and tail % n == 0:
-            for cand in (row[-2] % n, (-row[-2]) % n):
-                if 1 <= cand < n and cand not in out:
-                    out.append(cand)
+        if abs(row[-1]) == kannan:
+            beta0 = row[0] if row[-1] > 0 else -row[0]
+            cand = (beta0 + c - u0) * t0_inv % n
+            if cand and cand not in out:
+                out.append(cand)
     return out
 
 
@@ -444,7 +463,7 @@ def recover_key(
 
     def attempt(sub: HnpInstance) -> int | None:
         reduced = lll_reduce(build_lattice(sub))
-        for cand in _candidate_keys(reduced, curve.n):
+        for cand in _candidate_keys(reduced, sub):
             if fast_multiply(cand, curve.generator, curve) == public:
                 return cand
         return None

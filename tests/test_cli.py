@@ -538,6 +538,37 @@ class TestRecoverCommand:
         ) == 1
         assert_one_error_line(capsys, "input")
 
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [(0, "r", "0"), (2, "s", "n")],
+        ids=["zero-r-first", "s-equals-n-later"],
+    )
+    def test_signature_value_outside_the_group_is_input_error(
+        self, tmp_path, toy, capsys, line, field, value
+    ):
+        # Caught before any lattice is built, not as a failed recovery.
+        rng = random.Random(15)
+        key = keygen(toy, rng)
+        write_private_key(tmp_path / "key.txt", key)
+        sigs, known = [], []
+        for _ in range(3):
+            sig, nonce = sign(rng.randrange(1, toy.n), key, rng)
+            sigs.append(sig)
+            known.append(f"a={nonce.k.value % 4096:x}")
+        write_signatures(tmp_path / "sigs.txt", sigs)
+        lines = (tmp_path / "sigs.txt").read_text().splitlines()
+        fields = dict(part.split("=") for part in lines[line].split())
+        fields[field] = f"{toy.n:x}" if value == "n" else value
+        lines[line] = " ".join(f"{k}={v}" for k, v in fields.items())
+        (tmp_path / "sigs.txt").write_text("\n".join(lines) + "\n")
+        (tmp_path / "known.txt").write_text("\n".join(known) + "\n")
+        assert run_cli(
+            "recover", "--signatures", tmp_path / "sigs.txt",
+            "--known", tmp_path / "known.txt", "--key", tmp_path / "key.txt",
+            "--leak-bits", 12, "--curve", "toy16", "--out", tmp_path / "rec",
+        ) == 1
+        assert_one_error_line(capsys, "input")
+
     def test_leak_bits_required(self, tmp_path, toy, capsys):
         rng = random.Random(13)
         key = keygen(toy, rng)

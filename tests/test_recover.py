@@ -15,6 +15,7 @@ from nonce_lab.recover import (
     HnpInstance,
     HnpSample,
     LatticeBasis,
+    _candidate_keys,
     _float_pass,
     _reduce_pass,
     build_hnp,
@@ -44,6 +45,14 @@ def lab_instance(curve, rng, leak_bits, count, *, error_rate=0.0):
         records.append((sig, known))
         nonces.append(nonce.k.value)
     return build_hnp(records, curve, leak_bits), key, nonces
+
+
+def recentred_parts(inst, nonces):
+    """The hidden nonce parts b_i shifted by the middle of their range,
+    n >> (l+1), from the true nonces."""
+    leak = inst.leak_bits
+    centre = inst.modulus >> (leak + 1)
+    return [((k - s.known_lsb) >> leak) - centre for k, s in zip(nonces, inst.samples)]
 
 
 def gram_potential(rows):
@@ -126,6 +135,14 @@ class TestInstanceAlgebra:
             HnpInstance(modulus=1, samples=(sample,))
         with pytest.raises(DomainError):
             HnpInstance(modulus=97, samples=(sample, other))
+        # A valid ECDSA signature has 1 <= r, s < n; anything else would
+        # also leave the lattice's pivot without an inverse.
+        for r, s in ((0, 7), (97, 7), (200, 7), (5, 0), (5, 97), (5, -1)):
+            bad = HnpSample(r=r, s=s, z=1, known_lsb=3, leak_bits=4)
+            for samples in ((bad,), (sample, bad)):
+                with pytest.raises(DomainError):
+                    HnpInstance(modulus=97, samples=samples)
+        HnpInstance(modulus=97, samples=(sample, HnpSample(96, 96, 0, 0, 4)))
         assert HnpInstance(modulus=97, samples=(sample,)).leak_bits == 4
 
     def test_build_hnp_rejects_empty(self, toy):
@@ -142,30 +159,33 @@ class TestInstanceAlgebra:
 class TestLatticeConstruction:
     def test_planted_vector_is_in_the_lattice(self, toy, rng):
         leak = 12
-        inst, key, nonces = lab_instance(toy, rng, leak, 3)
+        inst, _, nonces = lab_instance(toy, rng, leak, 3)
         basis = build_lattice(inst)
-        w = basis.weight
         n = toy.n
-        pairs = hnp_coefficients(inst)
-        bs = [(k - s.known_lsb) >> leak for k, s in zip(nonces, inst.samples)]
-        planted = tuple(w * b for b in bs) + (key.d, n)
-        # The combination is forced: row m gets coefficient d, row m+1
-        # coefficient 1, and row i absorbs the modular wraparound.
+        kannan = max(1, n >> (leak + 1))
+        betas = recentred_parts(inst, nonces)
+        planted = (*betas, kannan)
+        # The combination is forced: the t' row (second to last) gets
+        # coefficient beta_0, the u' row coefficient 1, and row i-1 (the
+        # n*e_i row) absorbs coordinate i's modular wraparound.
+        m = len(betas)
+        assert basis.dimension == m + 1
+        tail = [0] * (m + 1)
+        for j, x in enumerate(basis.rows[m - 1]):
+            tail[j] += betas[0] * x
+        for j, x in enumerate(basis.rows[m]):
+            tail[j] += x
         coeffs = []
-        for b, (t, u) in zip(bs, pairs):
-            num = b - key.d * t - u
+        for i in range(1, m):
+            num = betas[i] - tail[i]
             assert num % n == 0
             coeffs.append(num // n)
-        m = len(bs)
-        rebuilt = [0] * (m + 2)
+        rebuilt = tail[:]
         for i, c in enumerate(coeffs):
             for j, x in enumerate(basis.rows[i]):
                 rebuilt[j] += c * x
-        for j, x in enumerate(basis.rows[m]):
-            rebuilt[j] += key.d * x
-        for j, x in enumerate(basis.rows[m + 1]):
-            rebuilt[j] += x
         assert tuple(rebuilt) == planted
+        assert all(abs(beta) <= kannan + 1 for beta in betas)
 
     def test_determinant_is_nonzero(self, toy, rng):
         inst, _, _ = lab_instance(toy, rng, 12, 3)
@@ -174,25 +194,27 @@ class TestLatticeConstruction:
         volume = 1
         for i in range(basis.dimension):
             volume *= hnf[i][i]
-        assert volume == (basis.weight * toy.n) ** 3 * toy.n
+        assert volume == toy.n ** 2 * (toy.n >> 13)
 
     def test_weight_doubling_still_recovers(self, toy, rng):
+        # The Kannan constant weighs the embedding coordinate against the
+        # hidden parts; doubling it must still leave the key readable.
         inst, key, _ = lab_instance(toy, rng, 12, 3)
+        n = toy.n
+        centre = n >> 13
         default = build_lattice(inst)
-        doubled = build_lattice(inst, weight=2 * default.weight)
-        assert doubled.weight == 2 * default.weight
-        Q = key.Q
-        for basis in (default, doubled):
-            reduced = lll_reduce(basis)
-            G = ProjectivePoint.from_affine(*toy.generator, toy.field)
-            hits = [
-                cand
-                for row in reduced.rows
-                if row[-1] != 0 and row[-1] % toy.n == 0
-                for cand in (row[-2] % toy.n, -row[-2] % toy.n)
-                if 0 < cand < toy.n
-                and reference_multiply(cand, G, toy) == Q
-            ]
+        assert default.rows[-1][-1] == centre
+        doubled = LatticeBasis(tuple((*row[:-1], 2 * row[-1]) for row in default.rows))
+        t0, u0 = hnp_coefficients(inst)[0]
+        G = ProjectivePoint.from_affine(*toy.generator, toy.field)
+        for basis, kannan in ((default, centre), (doubled, 2 * centre)):
+            hits = []
+            for row in lll_reduce(basis).rows:
+                if abs(row[-1]) == kannan:
+                    beta0 = row[0] if row[-1] > 0 else -row[0]
+                    cand = (beta0 + centre - u0) * pow(t0, -1, n) % n
+                    if cand and reference_multiply(cand, G, toy) == key.Q:
+                        hits.append(cand)
             assert key.d in hits
 
     def test_shortest_vector_on_underdetermined_instance(self, toy, rng):
@@ -211,28 +233,67 @@ class TestLatticeConstruction:
 
     def test_basis_validation(self):
         with pytest.raises(DomainError):
-            LatticeBasis(rows=(), weight=1)
+            LatticeBasis(rows=())
         with pytest.raises(DomainError):
-            LatticeBasis(rows=((1, 0), (0,)), weight=1)
+            LatticeBasis(rows=((1, 0), (0,)))
         with pytest.raises(DomainError):
-            LatticeBasis(rows=((1,), (2,)), weight=1)
+            LatticeBasis(rows=((1,), (2,)))
+        # A pivot without an inverse mod n never reaches build_lattice.
         with pytest.raises(DomainError):
             build_lattice(
                 HnpInstance(
                     modulus=97,
-                    samples=(HnpSample(r=5, s=7, z=1, known_lsb=0, leak_bits=2),),
+                    samples=(HnpSample(r=0, s=7, z=1, known_lsb=0, leak_bits=2),),
                 ),
-                weight=0,
             )
+
+    def test_full_leak_keeps_the_kannan_constant_positive(self, toy, p521, rng):
+        # l = bitlen(n): every b_i is 0, so the centre is 0; a Kannan
+        # constant of 0 would make the last row dependent.
+        for curve in (toy, p521):
+            leak = curve.n.bit_length()
+            inst, key, _ = lab_instance(curve, rng, leak, 3)
+            basis = build_lattice(inst)
+            assert basis.rows[-1][-1] == 1
+            reduced = lll_reduce(basis)
+            assert key.d in _candidate_keys(reduced, inst)
+            assert recover_key(inst, curve, key.Q) == key.d
+
+    def test_single_signature_lattice_is_two_dimensional(self, toy, p521, rng):
+        # m = 1 leaves nothing to eliminate d against: the result is the
+        # key or RecoveryFailed, never another error.
+        outcomes = set()
+        for curve in (toy, p521):
+            width = curve.n.bit_length()
+            for leak in (1, 2, width // 2, width - 2, width - 1, width):
+                inst, key, _ = lab_instance(curve, rng, leak, 1)
+                assert build_lattice(inst).dimension == 2
+                try:
+                    found = recover_key(inst, curve, key.Q)
+                except RecoveryFailed:
+                    outcomes.add("failed")
+                else:
+                    assert found == key.d
+                    outcomes.add("found")
+            assert recover_key(inst, curve, key.Q) == key.d  # leak == width
+        assert outcomes == {"found", "failed"}
+
+    def test_candidates_follow_the_embedding_sign(self, p521, rng):
+        # LLL may return the planted vector with either sign; a row ending
+        # in -K holds -beta_0.
+        inst, key, nonces = lab_instance(p521, rng, 100, 2)
+        planted = (*recentred_parts(inst, nonces), p521.n >> 101)
+        for row in (planted, tuple(-v for v in planted)):
+            assert _candidate_keys(LatticeBasis((row,)), inst) == [key.d]
 
 
 class TestReduction:
     def test_sorted_orthogonal_basis_is_fixed(self):
-        basis = LatticeBasis(rows=((2, 0, 0), (0, 3, 0), (0, 0, 5)), weight=1)
+        basis = LatticeBasis(rows=((2, 0, 0), (0, 3, 0), (0, 0, 5)))
         assert lll_reduce(basis).rows == basis.rows
 
     def test_classic_two_dimensional_case(self):
-        basis = LatticeBasis(rows=((201, 37), (1648, 297)), weight=1)
+        basis = LatticeBasis(rows=((201, 37), (1648, 297)))
         reduced = lll_reduce(basis)
         assert reduced.rows == ((1, 32), (40, 1))
         # Exhaustive check: no lattice vector beats the first reduced row.
@@ -248,7 +309,7 @@ class TestReduction:
             before = gram_potential(rows)
             if before == 0:
                 continue
-            reduced = lll_reduce(LatticeBasis(rows=rows, weight=1))
+            reduced = lll_reduce(LatticeBasis(rows=rows))
             assert gram_potential(reduced.rows) <= before
 
     def test_same_lattice_after_reduction(self, toy, rng):
@@ -259,23 +320,29 @@ class TestReduction:
 
     def test_lovasz_condition_holds(self):
         rows = ((47, -12, 3), (5, 81, -9), (-31, 6, 44))
-        reduced = lll_reduce(LatticeBasis(rows=rows, weight=1), Fraction(99, 100))
+        reduced = lll_reduce(LatticeBasis(rows=rows), Fraction(99, 100))
         assert_lll_reduced(reduced.rows, Fraction(99, 100))
 
     def test_p521_hnp_cell_is_reduced(self, p521, rng):
-        # The l=100 m=7 acceptance cell: dimension 9, 622-bit entries.
-        inst, key, _ = lab_instance(p521, rng, 100, 7)
+        # The l=100 m=7 acceptance cell: dimension 8, entries of at most n
+        # (521 bits).
+        inst, _, nonces = lab_instance(p521, rng, 100, 7)
         basis = build_lattice(inst)
+        assert basis.dimension == 8
+        assert all(0 <= v <= p521.n for row in basis.rows for v in row)
         reduced = lll_reduce(basis)
         assert_lll_reduced(reduced.rows, DEFAULT_DELTA)
         assert hermite_normal_form(reduced.rows) == hermite_normal_form(basis.rows)
-        assert any(row[-2] % p521.n in (key.d, p521.n - key.d) for row in reduced.rows)
+        planted = (*recentred_parts(inst, nonces), p521.n >> 101)
+        assert any(row in (planted, tuple(-v for v in planted)) for row in reduced.rows)
 
     def test_entries_beyond_double_range_are_reduced(self, p521, rng):
-        # Weight 2^600 gives 1121-bit entries: Gram entries near 2^2242 only
-        # fit a double after scaling.
+        # The hidden-part coordinates scaled by 2^600 give 1121-bit entries:
+        # Gram entries near 2^2242 only fit a double after scaling.
         inst, _, _ = lab_instance(p521, rng, 300, 2)
-        basis = build_lattice(inst, weight=1 << 600)
+        basis = LatticeBasis(tuple(
+            (*(v << 600 for v in row[:-1]), row[-1]) for row in build_lattice(inst).rows
+        ))
         assert max(abs(v) for row in basis.rows for v in row).bit_length() > 1100
         reduced = lll_reduce(basis)
         assert_lll_reduced(reduced.rows, DEFAULT_DELTA)
@@ -288,12 +355,12 @@ class TestReduction:
         assert _reduce_pass(rows, transform, 99, 100) == 0
 
     def test_dependent_rows_rejected(self):
-        basis = LatticeBasis(rows=((1, 2), (2, 4)), weight=1)
+        basis = LatticeBasis(rows=((1, 2), (2, 4)))
         with pytest.raises(DomainError):
             lll_reduce(basis)
 
     def test_delta_bounds(self):
-        basis = LatticeBasis(rows=((1, 0), (0, 1)), weight=1)
+        basis = LatticeBasis(rows=((1, 0), (0, 1)))
         for bad in (Fraction(1, 4), Fraction(1), 0.1, 1.5):
             with pytest.raises(ConfigError):
                 lll_reduce(basis, bad)
