@@ -213,6 +213,8 @@ class TemplateModel:
             raise DomainError("poi must be strictly increasing and non-negative")
         if self.mean0.shape != (p,) or self.mean1.shape != (p,):
             raise DomainError("class means must match the poi count")
+        if not all(np.isfinite(v).all() for v in (self.mean0, self.mean1, self.cov)):
+            raise DomainError("class means and covariance must be finite")
         if self.mode == "diag":
             if self.cov.shape != (p,):
                 raise DomainError("diagonal covariance must be a vector")

@@ -6,8 +6,11 @@ the envelope against the ladder-step fingerprint to locate every
 scalar-multiplication iteration.  The gaps
 between consecutive iterations are exactly the conditional swaps.
 
-The Kaiser band-pass design and the FFT convolution are small ports of
-``scipy.signal`` that reproduce its results bit for bit.  Importing
+The Kaiser band-pass design is a small port of ``scipy.signal`` that
+reproduces its taps bit for bit.  Both filters run through one FFT
+convolution, overlap-add over blocks of ``_FFT_BLOCK`` points, so a
+million-sample capture never needs a full-length spectrum; inputs that
+fit in one block get ``scipy.signal.fftconvolve``'s bits.  Importing
 ``scipy.signal`` (and ``scipy.stats`` behind it) took longer than the
 filtering it was used for, on every process start.
 """
@@ -45,6 +48,8 @@ _SEED_CORR_FLOOR = 0.35
 # roughly uniformly, so the threshold follows the strongest match down
 # from here to _SEED_CORR_FLOOR.
 _SEED_CORR_CEILING = 0.6
+# FFT length of one overlap-add block in _fft_convolve.
+_FFT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,18 +134,40 @@ def _kaiser_bandpass(
     return h
 
 
-def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-D arrays through the FFT.
+def _fft_convolve(
+    x: np.ndarray, kernel: np.ndarray, start: int, length: int
+) -> np.ndarray:
+    """``length`` samples from index ``start`` of the full linear
+    convolution of two real 1-D arrays, by overlap-add over FFT blocks.
 
-    Both spectra are taken at the next fast length for real transforms,
-    which are the calls ``scipy.signal.fftconvolve`` makes, so the
-    result carries the same bits.
+    Each real FFT has ``size`` points, ``_FFT_BLOCK`` or twice the kernel
+    if that is longer, and takes ``size - kernel.size + 1`` input
+    samples; the kernel's spectrum is taken once, and each block's
+    result is written into the output, added where it overlaps the
+    previous block's tail (Oppenheim and Schafer, Discrete-Time Signal
+    Processing, overlap-add method).  A convolution that fits in one
+    block is computed at the length ``scipy.signal.fftconvolve`` uses,
+    ``next_fast_len(n, True)``, and carries its bits; a longer one
+    differs from it by rounding only.  ``start`` must lie below
+    ``kernel.size``, as it does for the "same" and "valid" slices.
     """
-    n = x.size + kernel.size - 1
-    size = next_fast_len(n, True)
-    spectrum = rfftn(x, [size])
-    spectrum *= rfftn(kernel, [size])
-    return irfftn(spectrum, [size])[:n]
+    taps = kernel.size
+    size = next_fast_len(min(x.size + taps - 1, max(_FFT_BLOCK, 2 * taps)), True)
+    step = size - taps + 1
+    kernel_spectrum = rfftn(kernel, [size])
+    out = np.empty(length)
+    end = start + length
+    filled = start
+    for i in range(0, x.size, step):
+        spectrum = rfftn(x[i : i + step], [size])
+        spectrum *= kernel_spectrum
+        block = irfftn(spectrum, [size])
+        lo, hi = max(i, start), min(i + size, end)
+        mid = max(lo, min(filled, hi))
+        out[lo - start : mid - start] += block[lo - i : mid - i]
+        out[mid - start : hi - start] = block[mid - i : hi - i]
+        filled = hi
+    return out
 
 
 def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
@@ -167,12 +194,10 @@ def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
         beta,
         trace.sample_rate,
     )
-    # The centred slice of the full convolution undoes the group delay;
-    # copying it lets the padded FFT buffer go.
-    start = (numtaps - 1) // 2
-    filtered = _fft_convolve(trace.samples, taps)[
-        start : start + trace.samples.size
-    ].copy()
+    # The centred slice of the full convolution undoes the group delay.
+    filtered = _fft_convolve(
+        trace.samples, taps, (numtaps - 1) // 2, trace.samples.size
+    )
     return LeakageTrace(
         samples=filtered,
         sample_rate=trace.sample_rate,
@@ -256,7 +281,7 @@ def _normalized_xcorr(envelope: np.ndarray, template: np.ndarray) -> np.ndarray:
         raise AlignmentError("pattern template is constant")
     width = template.size
     # Only the lags where the template lies wholly inside the envelope.
-    out = _fft_convolve(envelope, t[::-1])[width - 1 : envelope.size]
+    out = _fft_convolve(envelope, t[::-1], width - 1, envelope.size - width + 1)
     # Both running sums share one buffer with a leading zero; the window
     # statistics then finish in place, in the order of the plain formula
     # sqrt(max(sq - sum**2 / width, 0)) * |t|.

@@ -45,6 +45,35 @@ from .events import WORD_BITS, EventRecorder, OpKind
 LADDER_STEP_MUL_GROUPS = (5, 2, 1, 2, 3, 1, 3, 3)
 
 
+# Miller-Rabin bases: the first 13 primes, which together decide every
+# n < 3.3 * 10**24 (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases ``_MR_BASES``: exact below 3.3 * 10**24;
+    above, only a strong pseudoprime to all thirteen bases, which must be
+    constructed on purpose, passes as prime."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def inverse_mod(value: int, modulus: int) -> int:
     """``value**-1 mod modulus``; NonInvertible where none exists."""
     try:
@@ -56,9 +85,10 @@ def inverse_mod(value: int, modulus: int) -> int:
 class Field:
     """Prime field F_p.
 
-    The modulus is assumed prime. Reduction folds ``z = (z & mask) + (z >> k)
-    * c`` when ``p = 2**k - c`` is wider than 64 bits with ``c`` below 32
-    bits, else falls back to ``%``, which is faster for narrow moduli.
+    The modulus is assumed prime (``CurveParams`` checks it). Reduction
+    folds ``z = (z & mask) + (z >> k) * c`` when ``p = 2**k - c`` is wider
+    than 64 bits with ``c`` below 32 bits, else falls back to ``%``, which
+    is faster for narrow moduli.
     """
 
     __slots__ = ("p", "_red")
@@ -136,11 +166,12 @@ class Scalar:
 class CurveParams:
     """Short-Weierstrass curve ``y**2 = x**3 + a*x + b`` over F_p.
 
-    Construction checks the curve is non-singular, the base point lies on
-    it, and ``n`` really kills the base point. ``word_count`` is how many
-    64-bit machine words one coordinate occupies, and so how many words per
-    coordinate a conditional swap moves; bignum layouts that also swap a
-    bookkeeping flag word along with the limbs are not modelled.
+    Construction checks that ``p`` and ``n`` are prime (Miller-Rabin), the
+    curve is non-singular, the base point lies on it, and ``n`` really
+    kills the base point. ``word_count`` is how many 64-bit machine words
+    one coordinate occupies, and so how many words per coordinate a
+    conditional swap moves; bignum layouts that also swap a bookkeeping
+    flag word along with the limbs are not modelled.
     """
 
     __slots__ = ("name", "p", "a", "b", "gx", "gy", "n", "word_count", "field", "_g_table")
@@ -157,6 +188,8 @@ class CurveParams:
         word_count: int,
     ) -> None:
         self.name = name
+        if not _is_prime(p):
+            raise DomainError(f"modulus {p} is not prime")
         self.field = Field(p)
         self.p = p
         self.a = a % p
@@ -175,8 +208,8 @@ class CurveParams:
             raise DomainError("curve is singular")
         if (self.gy * self.gy - (self.gx**3 + self.a * self.gx + self.b)) % p != 0:
             raise DomainError("base point is not on the curve")
-        if n < 2:
-            raise DomainError(f"order must exceed 1, got {n}")
+        if not _is_prime(n):
+            raise DomainError(f"order {n} is not prime")
         # n*G == O iff (n-1)*G == -G, which avoids multiplying by n itself.
         if _to_affine(_wnaf_multiply(n - 1, self.generator, self), self) != (self.gx, -self.gy % p):
             raise DomainError("base point order does not divide n")

@@ -706,6 +706,8 @@ def read_trace_set(path: Path | str) -> TraceSet:
         meta = parse_meta(fh.read(meta_len), path)
         payload = np.frombuffer(fh.read(4 * count * width), dtype="<f4")
     rows = payload.reshape(count, width).astype(np.float64)
+    if not np.isfinite(rows).all():
+        raise DomainError(f"{path} holds NaN or infinite samples")
 
     lengths = [width] * count
     if "trace_lengths" in meta:

@@ -260,18 +260,24 @@ def scipy_normalized_xcorr(envelope, template):
     return numerator / np.maximum(denominator, 1e-12)
 
 
-def plain_normalized_xcorr(envelope, template):
-    """Per-window normalized cross-correlation written as plain formulas,
-    one fresh array per step, with the FFT convolution spelled out."""
+def full_fft_convolve(x, kernel, start, length):
+    """``dsp._fft_convolve`` before overlap-add: one real FFT of the whole
+    convolution at ``next_fast_len``, sliced."""
     from scipy.fft import irfftn, next_fast_len, rfftn
 
+    n = x.size + kernel.size - 1
+    size = next_fast_len(n, True)
+    full = irfftn(rfftn(x, [size]) * rfftn(kernel, [size]), [size])[:n]
+    return full[start : start + length]
+
+
+def plain_normalized_xcorr(envelope, template):
+    """Per-window normalized cross-correlation written as plain formulas,
+    one fresh array per step, over the full-length FFT convolution."""
     t = template - template.mean()
     t_norm = float(np.linalg.norm(t))
     width = template.size
-    n = envelope.size + width - 1
-    size = next_fast_len(n, True)
-    full = irfftn(rfftn(envelope, [size]) * rfftn(t[::-1], [size]), [size])[:n]
-    numerator = full[width - 1 : envelope.size]
+    numerator = full_fft_convolve(envelope, t[::-1], width - 1, envelope.size - width + 1)
     cumulative = np.concatenate(([0.0], np.cumsum(envelope)))
     cumulative_sq = np.concatenate(([0.0], np.cumsum(envelope**2)))
     window_sum = cumulative[width:] - cumulative[:-width]

@@ -215,6 +215,25 @@ def test_model_invariants_are_enforced():
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["diag", "full"])
+@pytest.mark.parametrize("part", ["mean0", "mean1", "cov"])
+def test_model_rejects_non_finite_values(part, mode, value):
+    # A NaN slips past the sign check of a diagonal covariance, and the
+    # model would classify every window as 0 with NaN probabilities.
+    values = dict(
+        poi=[0, 1],
+        mean0=np.zeros(2),
+        mean1=np.ones(2),
+        cov=np.ones(2) if mode == "diag" else np.eye(2),
+        mode=mode,
+    )
+    values[part] = values[part].copy()
+    values[part].flat[1] = value
+    with pytest.raises(DomainError, match="finite"):
+        TemplateModel(**values)
+
+
 def test_model_file_roundtrip(tmp_path):
     x, y = blob_data()
     for mode in ("diag", "full"):

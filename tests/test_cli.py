@@ -14,6 +14,7 @@ import pytest
 import nonce_lab
 from nonce_lab import cli
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
+from nonce_lab.analysis import read_model, write_model
 from nonce_lab.errors import AlignmentError
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
 from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path
@@ -326,6 +327,64 @@ class TestSimulatePipeline:
         if labels is not None:
             labels_path(path).write_text(labels)
         assert run_cli("assess", "--traces", path, "--out", tmp_path / "o") == 1
+        assert_one_error_line(capsys, "input")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sample_is_input_error(self, tmp_path, toy_sim_config, capsys, value):
+        # One NaN sample used to turn assess's verdict into a PASS.
+        sim = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--config", toy_sim_config, "--curve", "toy16",
+            "--seed", 1, "--out", sim,
+        ) == 0
+        assert run_cli(
+            "train", "--traces", sim / "traces.trc",
+            "--config", toy_sim_config, "--out", tmp_path / "train",
+        ) == 0
+        capsys.readouterr()
+        path = sim / "traces.trc"
+        blob = bytearray(path.read_bytes())
+        meta_len = struct.unpack_from("<I", blob, 24)[0]
+        struct.pack_into("<f", blob, 28 + meta_len + 4 * 5, value)
+        path.write_bytes(bytes(blob))
+        for argv in (
+            ["assess"],
+            ["train"],
+            ["classify", "--model", tmp_path / "train/model.tmpl"],
+        ):
+            assert run_cli(
+                *argv, "--traces", path, "--config", toy_sim_config,
+                "--out", tmp_path / "o",
+            ) == 1
+            assert_one_error_line(capsys, "input")
+
+    @pytest.mark.parametrize("mode", ["diag", "full"])
+    @pytest.mark.parametrize("part", ["mean0", "mean1", "cov"])
+    def test_non_finite_model_is_input_error(
+        self, tmp_path, toy_sim_config, capsys, part, mode
+    ):
+        sim = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--config", toy_sim_config, "--curve", "toy16",
+            "--seed", 1, "--out", sim,
+        ) == 0
+        config = write_config(
+            tmp_path / "model.json", **json.loads(Path(toy_sim_config).read_text()),
+            template_mode=mode, poi_count=2,
+        )
+        assert run_cli(
+            "train", "--traces", sim / "traces.trc",
+            "--config", config, "--out", tmp_path / "train",
+        ) == 0
+        model = read_model(tmp_path / "train/model.tmpl")
+        getattr(model, part).flat[-1] = float("nan")
+        write_model(model, tmp_path / "doctored.tmpl")
+        capsys.readouterr()
+        assert run_cli(
+            "classify", "--traces", sim / "traces.trc",
+            "--model", tmp_path / "doctored.tmpl",
+            "--config", config, "--out", tmp_path / "cls",
+        ) == 1
         assert_one_error_line(capsys, "input")
 
     def test_missing_traces_file_is_io_error(self, tmp_path, capsys):

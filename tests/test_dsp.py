@@ -1,11 +1,18 @@
 """Filter, envelope and alignment checks."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonce_lab import dsp
+from nonce_lab.cli import _sim_config, build_parser, derive_seed, resolve_config
 from nonce_lab.dsp import (
+    _FFT_BLOCK,
     FilterSpec,
+    _fft_convolve,
     _iteration_events,
     _kaiser_bandpass,
     _kaiserord,
@@ -17,6 +24,7 @@ from nonce_lab.dsp import (
     rectified_envelope,
     write_windows_csv,
 )
+from nonce_lab.ecdsa import keygen, sign
 from nonce_lab.errors import AlignmentError, ConfigError
 from nonce_lab.events import EventRecorder
 from nonce_lab.ff_curve import (
@@ -34,6 +42,7 @@ from nonce_lab.tracesim import (
     synthesize,
 )
 from oracles import (
+    full_fft_convolve,
     greedy_peak_positions,
     median_split_steps,
     plain_normalized_xcorr,
@@ -138,6 +147,83 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
         _normalized_xcorr(envelope, template).tobytes()
         == scipy_normalized_xcorr(envelope, template).tobytes()
     )
+
+
+def rounding_bound(x, kernel):
+    """Absolute error allowed against ``fftconvolve``: 8 ulp of the largest
+    possible output sample."""
+    return 8 * np.finfo(np.float64).eps * np.abs(x).max() * np.abs(kernel).sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([175, 1520]),
+    st.integers(1, 6),
+    st.integers(-2, 2),
+    st.sampled_from(["full", "same", "valid"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_convolution_matches_fftconvolve(taps, blocks, offset, mode, seed):
+    """Inputs of one to six overlap-add blocks, each length within two
+    samples of a block edge, against ``scipy.signal.fftconvolve``."""
+    from scipy import signal
+
+    rng = np.random.default_rng(seed)
+    size = blocks * (_FFT_BLOCK - taps + 1) + offset
+    x = rng.normal(size=size) * rng.uniform(0.01, 100.0)
+    kernel = rng.normal(size=taps)
+    start, length = {
+        "full": (0, size + taps - 1),
+        "same": ((taps - 1) // 2, size),
+        "valid": (taps - 1, size - taps + 1),
+    }[mode]
+    got = _fft_convolve(x, kernel, start, length)
+    want = signal.fftconvolve(x, kernel, mode)
+    if size + taps - 1 <= _FFT_BLOCK:  # one block: scipy's own bits
+        assert got.tobytes() == want.tobytes()
+    assert np.abs(got - want).max() <= rounding_bound(x, kernel)
+
+
+def test_kernel_wider_than_a_block_is_convolved():
+    # A long iteration template (many samples per event) can outgrow a block.
+    from scipy import signal
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=4 * _FFT_BLOCK)
+    kernel = rng.normal(size=_FFT_BLOCK + 1000)
+    got = _fft_convolve(x, kernel, (kernel.size - 1) // 2, x.size)
+    want = signal.fftconvolve(x, kernel, "same")
+    assert np.abs(got - want).max() <= rounding_bound(x, kernel)
+
+
+def attack_capture(curve, seed, noise_sigma):
+    """The victim trace of ``nonce-lab attack --seed seed`` at the given
+    noise, and the config its alignment runs with."""
+    args = build_parser().parse_args(["attack", "--curve", curve.name, "--seed", str(seed)])
+    rc = dataclasses.replace(resolve_config(args), noise_sigma=noise_sigma)
+    key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
+    rng = random.Random(derive_seed(seed, "sign"))
+    recorder = EventRecorder()
+    swap = SwapVariant(SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63)
+    sign(rng.randrange(1, curve.n), key, rng, rc.multiplier, swap, recorder)
+    trace = synthesize(
+        recorder,
+        _sim_config(rc, derive_seed(seed, "capture")),
+        meta={"multiplier": rc.multiplier},
+    )
+    return trace, _sim_config(rc, 0)
+
+
+@pytest.mark.parametrize("noise_sigma, seed", [(2.0, 1), (2.0, 2), (2.0, 3), (5.0, 1), (5.0, 2)])
+def test_blocked_alignment_matches_full_length_convolution(monkeypatch, p521, noise_sigma, seed):
+    trace, cfg = attack_capture(p521, seed, noise_sigma)
+    assert trace.samples.size > 60 * _FFT_BLOCK
+    blocked = align_swaps(trace, p521, cfg)
+    monkeypatch.setattr(dsp, "_fft_convolve", full_fft_convolve)
+    full = align_swaps(trace, p521, cfg)
+    assert blocked.spans == full.spans
+    assert blocked.detected_pattern_positions == full.detected_pattern_positions
+    assert np.abs(np.subtract(blocked.confidence, full.confidence)).max() <= 1e-9
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonce_lab.errors import ConfigError, DomainError, NonInvertible
 from nonce_lab.events import EventRecorder, OpKind
+from nonce_lab import ff_curve
 from nonce_lab.ff_curve import (
     LADDER_STEP_MUL_GROUPS,
     CurveParams,
@@ -14,7 +15,9 @@ from nonce_lab.ff_curve import (
     Scalar,
     _add_body,
     _dbl_body,
+    _is_prime,
     _step_body,
+    builtin_curves,
     double_and_always_add,
     fast_double_multiply,
     fast_multiply,
@@ -152,8 +155,32 @@ def test_curve_rejects_off_curve_generator(toy):
 
 
 def test_curve_rejects_wrong_order(toy):
-    with pytest.raises(DomainError):
-        CurveParams("bad", toy.p, toy.a, toy.b, toy.gx, toy.gy, toy.n + 2, word_count=1)
+    # 65579 is the next prime above toy16's order, so the order check,
+    # not the primality check, has to catch it.
+    with pytest.raises(DomainError, match="does not divide"):
+        CurveParams("bad", toy.p, toy.a, toy.b, toy.gx, toy.gy, 65579, word_count=1)
+
+
+def test_curve_rejects_composite_order_and_modulus():
+    # y^2 = x^3 + x + 1 over F_23 has 28 points and G = (0, 1) has order 28.
+    with pytest.raises(DomainError, match="order 28 is not prime"):
+        CurveParams("tiny23", 23, 1, 1, 0, 1, 28, word_count=1)
+    # 561 = 3 * 11 * 17 is a Carmichael number: odd, and it passes the
+    # Fermat test to every base prime to it.
+    with pytest.raises(DomainError, match="modulus 561 is not prime"):
+        CurveParams("bad", 561, 1, 1, 0, 1, 7, word_count=1)
+
+
+def test_primality_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if by_trial(n)]
+    # Strong pseudoprimes to the first 1, 4, 9 and 12 prime bases.
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for curve in builtin_curves().values():
+        assert _is_prime(curve.p) and _is_prime(curve.n)
 
 
 def test_builtin_curve_geometry(p521, p128, w255, toy):
@@ -573,12 +600,14 @@ def test_double_multiply_matches_separate_products(p128, toy):
             assert fast_double_multiply(u1, u2, Q.to_affine(), curve) == want, (u1, u2)
 
 
-def test_core_on_small_order_points():
+def test_core_on_small_order_points(monkeypatch):
     """y^2 = x^3 + x + 1 over F_23 has 28 points: bases of order 2, 4, 7,
     14 and 28, and a composite n, so table entries and partial sums hit the
     neutral element and every exceptional addition case."""
     p, a, b = 23, 1, 1
     points = [(x, y) for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0]
+    # The constructor refuses a composite n; this curve needs one.
+    monkeypatch.setattr(ff_curve, "_is_prime", lambda n: True)
     curve = CurveParams("tiny23", p, a, b, 0, 1, 28, word_count=1)
     for P in points:
         for k in range(32):
