@@ -113,11 +113,15 @@ def feature_matrix(
     window position, so windows are always reduced to envelopes before
     fitting or scoring.
     """
-    matrix = _as_matrix(data, copy=True)
+    return _envelope_rows(_as_matrix(data, copy=True), median_samples)
+
+
+def _envelope_rows(matrix: np.ndarray, median_samples: int) -> np.ndarray:
+    """``feature_matrix`` in place, on a matrix the caller owns."""
     check_median_window(median_samples, matrix.shape[1])
     # Each row carries its own reflected edges, so one filter call per block
     # of rows equals one per row; blocks bound the padded copy's size, and
-    # each block's envelopes overwrite its rows of the private matrix.
+    # each block's envelopes overwrite its rows.
     pad = median_samples // 2
     for lo in range(0, len(matrix), _ENVELOPE_BLOCK_ROWS):
         block = np.pad(matrix[lo : lo + _ENVELOPE_BLOCK_ROWS], ((0, 0), (pad, pad)), "symmetric")
@@ -132,6 +136,8 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
     Profiling operates on isolated windows; this turns a set of whole
     scalar multiplications into one, keeping each window's condition as
     its label and skipping windows flagged as interfered.
+    ``tracesim.generate_training_windows`` renders the same windows
+    without the rest of each trace.
     """
     windows: list[LeakageTrace] = []
     labels: list[int] = []
@@ -326,21 +332,22 @@ def classify_batch(
 
 
 def swap_features(
-    train_set: TraceSet, cfg: SimConfig
+    windows: np.ndarray, labels: np.ndarray, meta: dict[str, str], cfg: SimConfig
 ) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    """Profiling's first step: the envelope features of a window-level
-    training set, its labels, and the model metadata they carry.
+    """Profiling's first step: the envelope features of a matrix of swap
+    windows, one per row, which it overwrites; their labels; and the
+    model metadata they carry.
 
     The envelope width and the source's variant, word count and curve
-    ride along so scoring repeats the preprocessing.
+    (read from the windows' trace meta) ride along so scoring repeats the
+    preprocessing.
     """
     median_samples = max(3, cfg.samples_per_event // 4)
     trained_on = {"median_samples": str(median_samples)}
-    if train_set.traces:
-        for key in ("variant", "word_count", "curve"):
-            if key in train_set.traces[0].meta:
-                trained_on[key] = train_set.traces[0].meta[key]
-    return feature_matrix(train_set, median_samples), train_set.labels[:, 0], trained_on
+    for key in ("variant", "word_count", "curve"):
+        if key in meta:
+            trained_on[key] = meta[key]
+    return _envelope_rows(windows, median_samples), labels, trained_on
 
 
 def fit_swap_features(
@@ -366,9 +373,9 @@ def fit_swap_classifier(
 ) -> TemplateModel:
     """Standard profiling pipeline for window-level training sets:
     ``swap_features`` then ``fit_swap_features``."""
-    return fit_swap_features(
-        *swap_features(train_set, cfg), poi_count=poi_count, mode=mode
-    )
+    matrix = _as_matrix(train_set)
+    features = swap_features(matrix, train_set.labels[:, 0], train_set.traces[0].meta, cfg)
+    return fit_swap_features(*features, poi_count=poi_count, mode=mode)
 
 
 def recover_nonce_bits(

@@ -14,10 +14,11 @@ CPU this process may run on for ``attack`` and ``experiment``, and this
 process alone for ``simulate``, whose traces take about as long to move
 between processes as to make.  At one job every task runs in this
 process.  ``attack`` profiles in the workers while it captures and
-aligns the victim trace: each training chunk is simulated, cut into swap
-windows and reduced to envelope features in one worker, and only the
-features come back.  Wall-clock measurements never enter CSV or trace
-files; timing goes to a separate ``timing.txt``.
+aligns the victim trace: each training chunk renders only the swap
+windows of its runs and reduces them to envelope features in one
+worker, and only the features come back, in a file in a temporary
+directory that the attack removes.  Wall-clock measurements never enter
+CSV or trace files; timing goes to a separate ``timing.txt``.
 
 Exit codes: 0 on success, 1 for configuration or input problems, 2 when
 the analysis itself fails (alignment, recovery, failed verification).
@@ -35,6 +36,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
@@ -49,7 +51,6 @@ from .analysis import (
     feature_matrix,
     fit_swap_classifier,
     fit_swap_features,
-    harvest_swap_windows,
     read_model,
     recover_nonce_bits,
     swap_features,
@@ -91,6 +92,7 @@ from .tracesim import (
     TraceSet,
     generate_swap_windows,
     generate_training_set,
+    generate_training_windows,
     inject_interference,
     read_trace_set,
     swap_windows,
@@ -373,8 +375,6 @@ def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
 def _window_level(trace_set: TraceSet, source: str) -> TraceSet:
     if trace_set.labels.shape[1] == 1:
         return trace_set
-    if all(len(t.markers) for t in trace_set.traces):
-        return harvest_swap_windows(trace_set)
     raise ConfigError(
         f"{source}: full-scalar trace files carry no window boundaries; "
         "use a trace set simulated with shape=windows"
@@ -502,14 +502,24 @@ def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _training_chunk(task) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    # Harvested as soon as it is simulated, so a worker holds one chunk's
-    # full traces at a time and only the features leave it.
-    *_, cfg = task
-    return swap_features(harvest_swap_windows(_scalars_chunk(task)), cfg)
+def _training_chunk(task, path: Path) -> tuple[Path, np.ndarray, dict[str, str]]:
+    # Only the swap windows of the profiling runs are rendered, and only
+    # their features leave the worker.  They go through a file: the pool's
+    # pipe would hand the 11 MB to the capturing process in 64 KiB reads,
+    # each into a buffer sized for the rest of the message, while that
+    # process aligns the victim trace.
+    curve_name, variant, multiplier, count, cfg = task
+    windows = generate_training_windows(
+        get_curve(curve_name), variant, count, cfg, multiplier=multiplier
+    )
+    features, labels, trained_on = swap_features(*windows, cfg)
+    np.save(path, features)
+    return path, labels, trained_on
 
 
-def _fit_for_attack(rc: RunConfig, seed: int, chunks: list[Future], pool: Executor):
+def _fit_for_attack(
+    rc: RunConfig, seed: int, chunks: list[Future], pool: Executor, spool: Path
+):
     """Fit the attack's model from its training chunks' features, joined
     in chunk order, so the model is the same at any ``jobs``."""
     parts = [chunk.result() for chunk in chunks]
@@ -521,10 +531,19 @@ def _fit_for_attack(rc: RunConfig, seed: int, chunks: list[Future], pool: Execut
     extra = 0
     while np.bincount(labels, minlength=2).min() < 2:
         (task,) = _scalars_tasks(rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK)
-        parts.append(pool.submit(_training_chunk, task).result())
+        parts.append(pool.submit(_training_chunk, task, spool / f"extra-{extra}.npy").result())
         labels = np.concatenate((labels, parts[-1][1]))
         extra += 1
-    features = np.concatenate([part[0] for part in parts])
+    # Each chunk's block is read from its file straight into its rows.
+    features, lo = None, 0
+    for path, _, _ in parts:
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            (count, width), _, _ = np.lib.format.read_array_header_1_0(fh)
+            if features is None:
+                features = np.empty((labels.size, width))
+            fh.readinto(features[lo : lo + count])
+        lo += count
     return fit_swap_features(
         features, labels, parts[0][2], poi_count=rc.poi_count, mode=rc.template_mode
     )
@@ -537,9 +556,17 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
     model = read_model(args.model) if args.model else None
     tasks = _scalars_tasks(rc, derive_seed(seed, "train"), rc.train_count) if model is None else []
     # The profiling chunks run in the workers while this process captures
-    # and aligns the victim trace, which needs no model.
-    with _executor(rc.jobs, len(tasks)) as pool:
-        training = [pool.submit(_training_chunk, task) for task in tasks]
+    # and aligns the victim trace, which needs no model.  The pool is
+    # joined before its spool directory is removed.
+    with (
+        tempfile.TemporaryDirectory(prefix="nonce-lab-") as spool,
+        _executor(rc.jobs, len(tasks)) as pool,
+    ):
+        spool = Path(spool)
+        training = [
+            pool.submit(_training_chunk, task, spool / f"train-{i}.npy")
+            for i, task in enumerate(tasks)
+        ]
         key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
         rng = random.Random(derive_seed(seed, "sign"))
         digest = rc.digest if rc.digest is not None else rng.randrange(1, curve.n)
@@ -565,7 +592,7 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
         windows = align_swaps(trace, curve, _sim_config(rc, 0), multiplier=rc.multiplier)
         write_windows_csv(windows, out / "windows.csv")
         if model is None:
-            model = _fit_for_attack(rc, seed, training, pool)
+            model = _fit_for_attack(rc, seed, training, pool, spool)
             write_model(model, out / "model.tmpl")
 
     estimate = recover_nonce_bits(trace, model, windows, rc.multiplier)

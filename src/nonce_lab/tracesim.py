@@ -253,21 +253,27 @@ class SwapWindow(NamedTuple):
     interfered: bool
 
 
-def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
-    """Extract the spans of the condition-bearing word-event runs.
+def _swap_bursts(kinds: np.ndarray, conds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and stop event index of every maximal run of condition-bearing
+    word events.
 
     Each conditional swap emits a contiguous burst of word-level events
     carrying the same ground-truth condition, always separated from the
-    next burst by field arithmetic, so maximal runs of word events are
-    exactly the swap executions.
+    next burst by field arithmetic, so these runs are exactly the swap
+    executions.
     """
+    in_swap = _IS_WORD[kinds] & (conds >= 0)
+    if (in_swap[1:] & in_swap[:-1] & (conds[1:] != conds[:-1])).any():
+        raise DomainError("swap window mixes ground-truth conditions")
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], in_swap.astype(np.int8), [0]))))
+    return edges[::2], edges[1::2]
+
+
+def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
+    """The spans of the trace's swap executions (see ``_swap_bursts``)."""
     mt = trace.markers
     if mt._windows is None:
-        in_swap = _IS_WORD[mt.kinds] & (mt.conds >= 0)
-        if (in_swap[1:] & in_swap[:-1] & (mt.conds[1:] != mt.conds[:-1])).any():
-            raise DomainError("swap window mixes ground-truth conditions")
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], in_swap.astype(np.int8), [0]))))
-        first, stop = edges[::2], edges[1::2]
+        first, stop = _swap_bursts(mt.kinds, mt.conds)
         flagged = np.concatenate(([0], np.cumsum(mt.interfered)))
         rows = zip(
             mt.starts[first].tolist(),
@@ -284,35 +290,30 @@ _NOISE_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=1)
-def _carrier(n: int, sample_rate: float, f_mod: float) -> np.ndarray:
-    """cos(2*pi*f_mod*i/sample_rate) for i < n, read-only; the traces of
-    one run share a length, so one entry serves them all."""
-    carrier = np.arange(n, dtype=np.float64) / sample_rate
+def _carrier(
+    width: int, sample_rate: float, f_mod: float, starts: bytes = bytes(8)
+) -> np.ndarray:
+    """cos(2*pi*f_mod*i/sample_rate) for i in s:s+width, one row per start
+    s (int64 bytes; 0 alone by default), read-only.  The traces of one run
+    share a length, and the uninterrupted profiling runs of one curve and
+    variant share their swap windows' positions, so one entry serves them
+    all."""
+    lo = np.frombuffer(starts, np.int64)
+    carrier = np.empty((lo.size, width))
+    np.add(lo[:, None], np.arange(width), out=carrier)
+    carrier /= sample_rate
     carrier *= 2.0 * np.pi * f_mod
     np.cos(carrier, out=carrier)
     carrier.flags.writeable = False
     return carrier
 
 
-def synthesize(
-    events: EventRecorder,
-    cfg: SimConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    meta: dict[str, str] | None = None,
-) -> LeakageTrace:
-    """Render an event stream into a noisy amplitude-modulated waveform.
+def _event_columns(events: EventRecorder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The recorder's kinds, leaks and conds, validated.
 
-    The activity envelope is piecewise constant per event: baseline,
-    plus a fixed floor for arithmetic blocks, plus the recorded leak
-    value scaled by ``snr_scale``.  The envelope multiplies a carrier at
-    ``cfg.f_mod`` and Gaussian noise is added on top.  With probability
-    ``interruption_prob`` a silent gap of random length is spliced in at
-    a random event boundary.
-
-    The recorder's columns are validated here, once, each read into an
-    array in one pass: kinds as bytes, leaks as int64 and conds as int8
-    with -1 for "no condition", the encoding ``MarkerTable`` keeps.
+    Each column is read into an array in one pass: kinds as bytes, leaks
+    as int64 and conds as int8 with -1 for "no condition", the encoding
+    ``MarkerTable`` keeps.
     """
     if not len(events):
         raise DomainError("cannot synthesize an empty event stream")
@@ -335,42 +336,107 @@ def synthesize(
         raise DomainError("swap condition must be -1, 0 or 1")
     if (conds[word] < 0).any():
         raise DomainError("word-level swap event without a condition")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    spe = cfg.samples_per_event
+    return kinds, leaks, conds
 
+
+class _Layout(NamedTuple):
+    """An event stream laid out in samples.
+
+    The envelope holds ``levels[j]`` on samples ``edges[j]:edges[j+1]``:
+    one segment per event, plus a silent one where an interruption
+    falls.  Event i spans ``starts[i]:ends[i]``.
+    """
+
+    levels: np.ndarray
+    edges: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+
+def _layout(kinds: np.ndarray, leaks: np.ndarray, cfg: SimConfig, rng: np.random.Generator) -> _Layout:
+    """Envelope levels and sample spans of the events, after the
+    interruption draws.
+
+    The activity envelope is piecewise constant per event: baseline,
+    plus a fixed floor for arithmetic blocks, plus the recorded leak
+    value scaled by ``snr_scale``.  With probability
+    ``interruption_prob`` a silent gap of random length is spliced in at
+    a random event boundary.
+    """
+    spe = cfg.samples_per_event
     durations = (spe // _DIVISORS)[kinds]
     floors = np.where(_HAS_FLOOR[kinds], cfg.activity_floor, 0.0)
-    amplitudes = cfg.baseline + floors + leaks * _LEAK_GAIN[kinds] * cfg.snr_scale
-
-    gap_index = gap_len = 0
-    if cfg.interruption_prob > 0.0 and rng.random() < cfg.interruption_prob:
-        gap_index = int(rng.integers(1, len(events)))
-        gap_len = int(rng.integers(spe, 8 * spe + 1))
-
-    envelope = np.repeat(amplitudes, durations)
+    levels = cfg.baseline + floors + leaks * _LEAK_GAIN[kinds] * cfg.snr_scale
     starts = np.concatenate(([0], np.cumsum(durations)[:-1]))
-    if gap_len:
-        cut = int(starts[gap_index])
-        envelope = np.concatenate(
-            (envelope[:cut], np.zeros(gap_len), envelope[cut:])
-        )
+    lengths = durations
+    if cfg.interruption_prob > 0.0 and rng.random() < cfg.interruption_prob:
+        gap_index = int(rng.integers(1, kinds.size))
+        gap_len = int(rng.integers(spe, 8 * spe + 1))
+        levels = np.insert(levels, gap_index, 0.0)
+        lengths = np.insert(durations, gap_index, gap_len)
         starts[gap_index:] += gap_len
+    edges = np.concatenate(([0], np.cumsum(lengths)))
+    return _Layout(levels, edges, starts, starts + durations)
+
+
+def _render(
+    layout: _Layout, spans: np.ndarray, cfg: SimConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Samples ``lo:hi`` of the laid-out waveform for each span (lo, hi),
+    one row per span; the spans share one width, and each starts and
+    ends on a segment edge.
+
+    The envelope multiplies a carrier at ``cfg.f_mod`` and Gaussian noise
+    is added on top, drawn for the rendered samples only, row after row.
+    The span (0, n) renders the whole trace.
+    """
+    lo, hi = spans[:, 0], spans[:, 1]
+    width = int(hi[0] - lo[0])
+    if (hi - lo != width).any():
+        raise DomainError("traces must share one length to form a matrix")
+    # The envelope segments inside each span, all spans in one run.
+    first = np.searchsorted(layout.edges, lo)
+    counts = np.searchsorted(layout.edges, hi) - first
+    offsets = np.cumsum(counts) - counts
+    seg = np.arange(int(counts.sum())) + np.repeat(first - offsets, counts)
 
     # In place: each temporary of a full trace's length raises peak memory.
-    n = envelope.size
-    samples = envelope
-    samples *= _carrier(n, cfg.sample_rate, cfg.f_mod)
+    rows = np.repeat(layout.levels[seg], np.diff(layout.edges)[seg])
+    rows = rows.reshape(len(spans), width)
+    rows *= _carrier(width, cfg.sample_rate, cfg.f_mod, lo.tobytes())
     if cfg.noise_sigma > 0.0:
-        # Bit for bit rng.normal(0.0, sigma, n): the same draws, scaled in
-        # place, in blocks through one buffer, so no second trace-length
-        # array exists.
+        # Bit for bit rng.normal(0.0, sigma, rows.size): the same draws,
+        # scaled in place, in blocks through one buffer, so no second
+        # array of the rows' size exists.
+        samples = rows.reshape(-1)
+        n = samples.size
         block = np.empty(min(n, _NOISE_BLOCK))
-        for lo in range(0, n, block.size):
-            noise = block[: n - lo]
+        for start in range(0, n, block.size):
+            noise = block[: n - start]
             rng.standard_normal(out=noise)
             noise *= cfg.noise_sigma
-            samples[lo : lo + noise.size] += noise
+            samples[start : start + noise.size] += noise
+    return rows
+
+
+def synthesize(
+    events: EventRecorder,
+    cfg: SimConfig,
+    rng: np.random.Generator | None = None,
+    *,
+    meta: dict[str, str] | None = None,
+) -> LeakageTrace:
+    """Render an event stream into a noisy amplitude-modulated waveform.
+
+    The events are laid out by ``_layout`` (envelope levels, an
+    interruption gap) and rendered whole by ``_render`` (carrier, noise).
+    The recorder's columns are validated here, once.
+    """
+    kinds, leaks, conds = _event_columns(events)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    layout = _layout(kinds, leaks, cfg, rng)
+    samples = _render(layout, np.array([[0, layout.edges[-1]]]), cfg, rng)[0]
 
     trace_meta = {
         "f_cpu": str(cfg.f_cpu),
@@ -378,10 +444,20 @@ def synthesize(
     }
     if meta:
         trace_meta.update(meta)
-    markers = MarkerTable(starts, starts + durations, kinds, conds)
+    markers = MarkerTable(layout.starts, layout.ends, kinds, conds)
     return LeakageTrace(
         samples=samples, sample_rate=cfg.sample_rate, markers=markers, meta=trace_meta
     )
+
+
+def _burst_spans(cfg: SimConfig, n: int):
+    """Start, stop and amplitude of each non-empty interference burst
+    over a trace of n samples."""
+    for start_frac, len_frac, amplitude in cfg.interference:
+        start = int(round(start_frac * n))
+        stop = min(n, start + int(round(len_frac * n)))
+        if stop > start:
+            yield start, stop, amplitude
 
 
 def inject_interference(
@@ -405,11 +481,7 @@ def inject_interference(
     kernel = np.ones(smoothing) / smoothing
     out = trace.samples.astype(np.float64, copy=True)
     flagged = np.zeros(len(trace.markers), dtype=bool)
-    for start_frac, len_frac, amplitude in cfg.interference:
-        start = int(round(start_frac * n))
-        stop = min(n, start + int(round(len_frac * n)))
-        if stop <= start:
-            continue
+    for start, stop, amplitude in _burst_spans(cfg, n):
         envelope = np.convolve(rng.normal(0.0, 1.0, stop - start), kernel, "same")
         envelope *= np.sqrt(smoothing)
         t = np.arange(start, stop, dtype=np.float64) / trace.sample_rate
@@ -497,6 +569,44 @@ def training_nonces(
     )
 
 
+def _training_runs(
+    curve: CurveParams,
+    variant: SwapVariant | SwapKind | str,
+    count: int,
+    rng: np.random.Generator,
+    multiplier: str,
+):
+    """The event streams of ``count`` profiling runs, each drawn when it
+    is due: its class (the mostly-swap or mostly-hold nonce), a random
+    base point and the seed of a fresh swap variant."""
+    kind = _variant_kind(variant)
+    swap_nonce, hold_nonce = training_nonces(curve, multiplier)
+    for _ in range(count):
+        chosen_class = int(rng.integers(0, 2))
+        nonce = swap_nonce if chosen_class else hold_nonce
+        base_exp = 1 + _random_below(rng, curve.n - 1)
+        variant_inst = SwapVariant(kind, rng_seed=int(rng.integers(0, 2**63)))
+        recorder = EventRecorder()
+        if multiplier == "ladder":
+            # The ladder reads only the affine base: the untraced core serves.
+            base = fast_multiply(base_exp, curve.generator, curve).to_affine()
+            montgomery_ladder(nonce, base, curve, variant_inst, recorder)
+        else:
+            # Double-and-add's events depend on this projective representative.
+            generator = ProjectivePoint.from_affine(*curve.generator, curve.field)
+            base = reference_multiply(base_exp, generator, curve)
+            double_and_always_add(nonce, base, curve, variant_inst, recorder)
+        yield recorder
+
+
+def _training_meta(curve: CurveParams, variant, multiplier: str) -> dict[str, str]:
+    return {
+        "curve": curve.name,
+        "variant": _variant_kind(variant).value,
+        "multiplier": multiplier,
+    }
+
+
 def generate_training_set(
     curve: CurveParams,
     variant: SwapVariant | SwapKind | str,
@@ -516,42 +626,68 @@ def generate_training_set(
         raise DomainError("count must be at least 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    kind = _variant_kind(variant)
-    swap_nonce, hold_nonce = training_nonces(curve, multiplier)
+    meta = _training_meta(curve, variant, multiplier)
     width = curve.n.bit_length()
     traces: list[LeakageTrace] = []
     labels = np.empty((count, width), dtype=np.int8)
-    for i in range(count):
-        chosen_class = int(rng.integers(0, 2))
-        nonce = swap_nonce if chosen_class else hold_nonce
-        base_exp = 1 + _random_below(rng, curve.n - 1)
-        variant_inst = SwapVariant(kind, rng_seed=int(rng.integers(0, 2**63)))
-        recorder = EventRecorder()
-        if multiplier == "ladder":
-            # The ladder reads only the affine base: the untraced core serves.
-            base = fast_multiply(base_exp, curve.generator, curve).to_affine()
-            montgomery_ladder(nonce, base, curve, variant_inst, recorder)
-        else:
-            # Double-and-add's events depend on this projective representative.
-            generator = ProjectivePoint.from_affine(*curve.generator, curve.field)
-            base = reference_multiply(base_exp, generator, curve)
-            double_and_always_add(nonce, base, curve, variant_inst, recorder)
-        trace = synthesize(
-            recorder,
-            cfg,
-            rng,
-            meta={
-                "curve": curve.name,
-                "variant": kind.value,
-                "multiplier": multiplier,
-            },
-        )
+    for i, recorder in enumerate(_training_runs(curve, variant, count, rng, multiplier)):
+        trace = synthesize(recorder, cfg, rng, meta=meta)
         windows = swap_windows(trace)
         if len(windows) != width:
             raise DomainError("scalar multiplication recorded a short schedule")
         labels[i] = [w.cond for w in windows]
         traces.append(trace)
     return TraceSet(traces, labels)
+
+
+def generate_training_windows(
+    curve: CurveParams,
+    variant: SwapVariant | SwapKind | str,
+    count: int,
+    cfg: SimConfig,
+    rng: np.random.Generator | None = None,
+    *,
+    multiplier: str = "ladder",
+) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
+    """The swap windows of ``generate_training_set``'s runs, rendered
+    without the rest of each trace: one row per window, its labels, and
+    the meta its traces would carry.
+
+    The runs are drawn as there, and each is rendered from the same
+    layout, but only at its swap bursts, so its noise covers just those
+    samples; at ``noise_sigma`` 0 the rows equal the windows cut from
+    the full traces.  A window that an interference burst overlaps, or
+    that an interruption gap splits, is left out.
+    """
+    if count < 1:
+        raise DomainError("count must be at least 1")
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    bits = curve.n.bit_length()
+    parts: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    for recorder in _training_runs(curve, variant, count, rng, multiplier):
+        kinds, leaks, conds = _event_columns(recorder)
+        layout = _layout(kinds, leaks, cfg, rng)
+        first, stop = _swap_bursts(kinds, conds)
+        if first.size != bits:
+            raise DomainError("scalar multiplication recorded a short schedule")
+        spans = np.stack((layout.starts[first], layout.ends[stop - 1]), axis=1)
+        # An interruption leaves a gap between two events; a burst it
+        # splits is longer than the others.
+        gaps = np.flatnonzero(layout.starts[1:] > layout.ends[:-1]) + 1
+        keep = ~((first[:, None] < gaps) & (gaps < stop[:, None])).any(axis=1)
+        for start, end, _ in _burst_spans(cfg, int(layout.edges[-1])):
+            keep &= (spans[:, 1] <= start) | (spans[:, 0] >= end)
+        if keep.any():
+            parts.append(_render(layout, spans[keep], cfg, rng))
+            labels.append(conds[first[keep]])
+    if not parts:
+        raise DomainError("no usable swap windows to harvest")
+    if len({part.shape[1] for part in parts}) > 1:
+        raise DomainError("traces must share one length to form a matrix")
+    meta = _training_meta(curve, variant, multiplier)
+    return np.concatenate(parts), np.concatenate(labels), meta
 
 
 def generate_swap_windows(

@@ -399,6 +399,7 @@ def _rerun_byte_identical(tmp_path, name, argv, ignore=("timing.txt",)):
     assert snapshots[0].keys() == snapshots[1].keys()
     for filename in snapshots[0]:
         assert snapshots[0][filename] == snapshots[1][filename], (name, filename)
+    return snapshots[0]
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
@@ -437,3 +438,16 @@ def test_cli_runs_are_byte_identical(tmp_path):
         "attack",
         ["attack", "--curve", "secp521r1", "--seed", 1, "--config", attack_config],
     )
+
+    # At the default noise the profiling noise covers the training
+    # windows only; the outputs still do not depend on --jobs.
+    noisy = [
+        _rerun_byte_identical(
+            tmp_path,
+            f"attack-jobs{jobs}",
+            ["attack", "--curve", "secp521r1", "--seed", 1, "--jobs", jobs],
+            ignore=("timing.txt", "config.json"),
+        )
+        for jobs in (1, 2)
+    ]
+    assert noisy[0] == noisy[1]

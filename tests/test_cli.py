@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -474,6 +475,33 @@ class TestAttack:
         assert code == 0
         assert {"trace.trc", "model.tmpl", "windows.csv", "attack.csv", "summary.json"} <= set(blobs)
         assert b'"jobs": null' in (tmp_path / "default/config.json").read_bytes()
+
+    def test_interruptions_leave_profiling_running(self, tmp_path):
+        # Every run splices in a silent gap.  A training window that a gap
+        # splits is longer than the rest; profiling leaves it out instead
+        # of failing to form its matrix, so the attack reaches a verdict.
+        cfg = self.attack_config(tmp_path, interruption_prob=1.0)
+        code, blobs = self.attack_outputs(tmp_path, "--config", cfg)
+        assert code in (0, 2)
+        assert {"model.tmpl", "attack.csv", "summary.json"} <= set(blobs)
+
+    @pytest.mark.parametrize("aligns", [True, False])
+    def test_training_spool_is_removed(self, tmp_path, monkeypatch, aligns):
+        # The workers hand their features over in files; the directory
+        # holding them goes when the attack ends, whichever way.
+        spool_root = tmp_path / "tmp"
+        spool_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+
+        def fail(*args, **kwargs):
+            raise AlignmentError("planted")
+
+        if not aligns:
+            monkeypatch.setattr(cli, "align_swaps", fail)
+        cfg = self.attack_config(tmp_path)
+        code = run_cli("attack", "--config", cfg, "--jobs", 2, "--out", tmp_path / "o")
+        assert code == (0 if aligns else 2)
+        assert list(spool_root.iterdir()) == []
 
     def test_failed_alignment_leaves_no_worker_running(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nonce_lab.analysis import harvest_swap_windows
 from nonce_lab.errors import ConfigError, DomainError
 from nonce_lab.dsp import _iteration_events
 from nonce_lab.events import KIND_BY_CODE, EventRecorder, OpKind
@@ -26,6 +27,7 @@ from nonce_lab.tracesim import (
     TraceSet,
     generate_swap_windows,
     generate_training_set,
+    generate_training_windows,
     inject_interference,
     labels_path,
     read_trace_set,
@@ -488,6 +490,14 @@ def test_cached_carrier_is_read_only():
         carrier[0] = 0.0
 
 
+def test_carrier_rows_follow_their_sample_index():
+    starts = np.array([0, 7, 1000], dtype=np.int64)
+    carrier = tracesim._carrier(5, 2.5e6, 1.0e5, starts.tobytes())
+    index = starts[:, None] + np.arange(5)
+    expected = np.cos(2.0 * np.pi * 1.0e5 * index / 2.5e6)
+    np.testing.assert_allclose(carrier, expected, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("interruption_prob", [0.0, 1.0])
 def test_synthesize_with_cached_carrier_matches_a_fresh_one(toy, interruption_prob):
     """Lengths alternate (and gaps splice in), so the one-entry cache both
@@ -511,3 +521,103 @@ def test_non_utf8_label_sidecar_is_domain_error(tmp_path):
     labels_path(path).write_bytes(b"\xfftrace_index,swap_index,cond,interfered\n")
     with pytest.raises(DomainError, match="UTF-8"):
         read_trace_set(path)
+
+
+def _harvest(curve, variant, count, cfg, seed, multiplier):
+    """Profiling through full traces: render them whole, flag the windows
+    an interference burst covers, cut the rest out."""
+    full = generate_training_set(
+        curve, variant, count, cfg, np.random.default_rng(seed), multiplier=multiplier
+    )
+    burst_rng = np.random.default_rng(99)
+    traces = [inject_interference(t, cfg, burst_rng) for t in full.traces]
+    flags = [[w.interfered for w in swap_windows(t)] for t in traces]
+    return full, harvest_swap_windows(TraceSet(traces, full.labels, flags))
+
+
+def _rendered(curve, variant, count, cfg, seed, multiplier):
+    return generate_training_windows(
+        curve, variant, count, cfg, np.random.default_rng(seed), multiplier=multiplier
+    )
+
+
+@pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+@pytest.mark.parametrize("variant", list(SwapKind))
+def test_rendered_windows_equal_the_harvested_ones(toy, variant, multiplier):
+    cfg = quiet_cfg(seed=3)
+    rows, labels, meta = _rendered(toy, variant, 3, cfg, 8, multiplier)
+    full, harvested = _harvest(toy, variant, 3, cfg, 8, multiplier)
+    expected = np.stack([t.samples for t in harvested.traces])
+    assert rows.tobytes() == expected.tobytes()
+    assert labels.tolist() == harvested.labels[:, 0].tolist()
+    assert meta == {key: full.traces[0].meta[key] for key in ("curve", "variant", "multiplier")}
+
+
+@pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+def test_rendered_windows_leave_out_the_interfered_ones(toy, multiplier):
+    cfg = quiet_cfg(seed=3, interference=((0.1, 0.2, 5.0), (0.6, 0.05, 5.0)))
+    rows, labels, _ = _rendered(toy, "plain", 4, cfg, 12, multiplier)
+    _, harvested = _harvest(toy, "plain", 4, cfg, 12, multiplier)
+    assert 0 < len(rows) < 4 * toy.n.bit_length()
+    assert rows.tobytes() == np.stack([t.samples for t in harvested.traces]).tobytes()
+    assert labels.tolist() == harvested.labels[:, 0].tolist()
+
+
+def test_burst_flush_with_window_edges_spares_its_neighbours(toy):
+    """A burst that starts where one window ends and stops where a later
+    one starts covers neither of them."""
+    trace = generate_training_set(toy, "plain", 1, quiet_cfg()).traces[0]
+    windows, n = swap_windows(trace), len(trace)
+    start, stop = windows[3].end, windows[6].start
+    cfg = quiet_cfg(interference=((start / n, (stop - start) / n, 5.0),))
+    rows, _, _ = _rendered(toy, "plain", 1, cfg, 0, "ladder")
+    _, harvested = _harvest(toy, "plain", 1, cfg, 0, "ladder")
+    assert len(rows) == len(windows) - 2
+    assert rows.tobytes() == np.stack([t.samples for t in harvested.traces]).tobytes()
+
+
+@pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+def test_rendered_windows_leave_out_the_ones_a_gap_splits(toy, multiplier):
+    # Every run splices a gap; where it falls inside a swap burst, the cut
+    # window is longer than the rest and cannot join the matrix.
+    cfg = quiet_cfg(seed=3, interruption_prob=1.0)
+    rows, labels, _ = _rendered(toy, "plain", 12, cfg, 4, multiplier)
+    _, harvested = _harvest(toy, "plain", 12, cfg, 4, multiplier)
+    whole = [i for i, t in enumerate(harvested.traces) if t.samples.size == rows.shape[1]]
+    assert len(rows) == len(whole) < len(harvested.traces)
+    assert rows.tobytes() == np.stack([harvested.traces[i].samples for i in whole]).tobytes()
+    assert labels.tolist() == harvested.labels[whole, 0].tolist()
+
+
+@pytest.mark.parametrize("generate", [generate_training_set, generate_training_windows])
+@pytest.mark.parametrize("count", [0, -1])
+def test_training_needs_a_run(toy, generate, count):
+    with pytest.raises(DomainError, match="count"):
+        generate(toy, "plain", count, quiet_cfg())
+
+
+def test_window_noise_is_one_draw_over_the_rendered_samples(toy):
+    """Noise covers the window samples only, in one draw, row after row,
+    taken where the run's own draws end."""
+    noisy, _, _ = _rendered(toy, "plain", 1, quiet_cfg(seed=3, noise_sigma=2.0), 5, "ladder")
+    rng = np.random.default_rng(5)
+    quiet, _, _ = generate_training_windows(toy, "plain", 1, quiet_cfg(seed=3), rng)
+    expected = quiet + 2.0 * rng.standard_normal(quiet.shape)
+    assert noisy.tobytes() == expected.tobytes()
+
+
+def test_training_renders_the_swap_windows_only(p521, monkeypatch):
+    """Profiling a secp521r1 run renders its 521 swap windows in one
+    call, 30% of the trace's samples, and nothing else."""
+    calls = []
+
+    def spy(layout, spans, cfg, rng):
+        calls.append((int(layout.edges[-1]), spans.copy()))
+        return render(layout, spans, cfg, rng)
+
+    render = tracesim._render
+    monkeypatch.setattr(tracesim, "_render", spy)
+    rows, _, _ = generate_training_windows(p521, "plain", 1, quiet_cfg(), np.random.default_rng(1))
+    ((n, spans),) = calls
+    assert len(spans) == 521 and rows.shape == (521, spans[0, 1] - spans[0, 0])
+    assert rows.size < 0.31 * n
