@@ -59,6 +59,7 @@ from .analysis import (
 )
 from .dsp import align_swaps, write_windows_csv
 from .ecdsa import (
+    MULTIPLIERS,
     keygen,
     parse_hex,
     read_private_key,
@@ -93,7 +94,6 @@ from .tracesim import (
     generate_swap_windows,
     generate_training_set,
     generate_training_windows,
-    inject_interference,
     read_trace_set,
     swap_windows,
     synthesize,
@@ -101,7 +101,6 @@ from .tracesim import (
 )
 
 _VARIANTS = tuple(kind.value for kind in SwapKind)
-_MULTIPLIERS = ("ladder", "daa")
 
 # One generation unit per worker task; fixed so the byte-level output is
 # the same for every --jobs value.
@@ -144,7 +143,7 @@ _SIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)}
 _CONFIG_KEYS = {
     "curve": (str, "secp521r1"),
     "variant": (_choice(*_VARIANTS), "plain"),
-    "multiplier": (_choice(*_MULTIPLIERS), "ladder"),
+    "multiplier": (_choice(*MULTIPLIERS), "ladder"),
     "seed": (_optional(int), None),
     "out": (_optional(str), None),
     "jobs": (_optional(int), None),
@@ -238,19 +237,12 @@ def derive_seed(root: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# The SimConfig fields a run configures; the seed is derived per task.
+_SIM_KEYS = tuple(name for name in _SIM_DEFAULTS if name in _CONFIG_KEYS and name != "seed")
+
+
 def _sim_config(rc: RunConfig, seed: int) -> SimConfig:
-    return SimConfig(
-        f_cpu=rc.f_cpu,
-        sample_rate=rc.sample_rate,
-        samples_per_event=rc.samples_per_event,
-        noise_sigma=rc.noise_sigma,
-        snr_scale=rc.snr_scale,
-        baseline=rc.baseline,
-        activity_floor=rc.activity_floor,
-        interference=rc.interference,
-        interruption_prob=rc.interruption_prob,
-        seed=seed,
-    )
+    return SimConfig(**{name: getattr(rc, name) for name in _SIM_KEYS}, seed=seed)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -277,37 +269,18 @@ def _out_dir(rc: RunConfig, command: str) -> Path:
 def _merge_sets(parts: Sequence[TraceSet]) -> TraceSet:
     traces = [trace for part in parts for trace in part.traces]
     labels = np.vstack([part.labels for part in parts])
-    interfered = None
-    if all(part.interfered is not None for part in parts):
-        interfered = np.vstack([part.interfered for part in parts])
-    return TraceSet(traces, labels, interfered)
-
-
-def _apply_interference(trace_set: TraceSet, cfg: SimConfig) -> TraceSet:
-    if not cfg.interference:
-        return trace_set
-    rng = np.random.default_rng([cfg.seed, 0x1F])
-    traces = [inject_interference(t, cfg, rng) for t in trace_set.traces]
-    flags = np.asarray(
-        [[w.interfered for w in swap_windows(t)] for t in traces], dtype=bool
-    )
-    return TraceSet(traces, trace_set.labels, flags)
+    return TraceSet(traces, labels, np.vstack([part.interfered for part in parts]))
 
 
 def _windows_chunk(task) -> TraceSet:
     variant, word_count, conds, cfg = task
-    return _apply_interference(
-        generate_swap_windows(variant, word_count, conds, cfg), cfg
-    )
+    return generate_swap_windows(variant, word_count, conds, cfg)
 
 
 def _scalars_chunk(task) -> TraceSet:
     curve_name, variant, multiplier, count, cfg = task
-    return _apply_interference(
-        generate_training_set(
-            get_curve(curve_name), variant, count, cfg, multiplier=multiplier
-        ),
-        cfg,
+    return generate_training_set(
+        get_curve(curve_name), variant, count, cfg, multiplier=multiplier
     )
 
 
@@ -586,9 +559,8 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
             },
         )
         truth = [w.cond for w in swap_windows(trace)]
-        write_trace_set(
-            TraceSet([trace], np.asarray([truth], dtype=np.int8)), out / "trace.trc"
-        )
+        flags = [[w.interfered for w in swap_windows(trace)]]
+        write_trace_set(TraceSet([trace], [truth], flags), out / "trace.trc")
         windows = align_swaps(trace, curve, _sim_config(rc, 0), multiplier=rc.multiplier)
         write_windows_csv(windows, out / "windows.csv")
         if model is None:
@@ -733,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="root seed (overrides config/env)")
     common.add_argument("--curve", help="curve name, e.g. secp521r1")
     common.add_argument("--variant", choices=_VARIANTS, help="conditional-swap variant")
-    common.add_argument("--multiplier", choices=_MULTIPLIERS, help="scalar multiplier")
+    common.add_argument("--multiplier", choices=MULTIPLIERS, help="scalar multiplier")
     common.add_argument(
         "--jobs", type=int,
         help="worker processes (default: every usable CPU; 1 for simulate)",

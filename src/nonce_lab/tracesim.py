@@ -216,12 +216,6 @@ class MarkerTable:
 
     __hash__ = None
 
-    def with_interference(self, flagged: np.ndarray) -> "MarkerTable":
-        return MarkerTable(
-            self.starts, self.ends, self.kinds, self.conds,
-            self.interfered | np.asarray(flagged, dtype=bool),
-        )
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LeakageTrace:
@@ -342,9 +336,11 @@ def _event_columns(events: EventRecorder) -> tuple[np.ndarray, np.ndarray, np.nd
 class _Layout(NamedTuple):
     """An event stream laid out in samples.
 
-    The envelope holds ``levels[j]`` on samples ``edges[j]:edges[j+1]``:
-    one segment per event, plus a silent one where an interruption
-    falls.  Event i spans ``starts[i]:ends[i]``.
+    The envelope holds ``levels[..., j]`` on samples
+    ``edges[j]:edges[j+1]``: one segment per event, plus a silent one
+    where an interruption falls.  Event i spans ``starts[i]:ends[i]``.
+    A campaign of traces that share one event sequence holds one row of
+    levels per trace.
     """
 
     levels: np.ndarray
@@ -361,7 +357,8 @@ def _layout(kinds: np.ndarray, leaks: np.ndarray, cfg: SimConfig, rng: np.random
     plus a fixed floor for arithmetic blocks, plus the recorded leak
     value scaled by ``snr_scale``.  With probability
     ``interruption_prob`` a silent gap of random length is spliced in at
-    a random event boundary.
+    a random event boundary.  ``leaks`` may hold one row per trace of a
+    campaign, which takes no interruption.
     """
     spe = cfg.samples_per_event
     durations = (spe // _DIVISORS)[kinds]
@@ -379,15 +376,42 @@ def _layout(kinds: np.ndarray, leaks: np.ndarray, cfg: SimConfig, rng: np.random
     return _Layout(levels, edges, starts, starts + durations)
 
 
+def _burst_spans(cfg: SimConfig, n: int):
+    """Start, stop and amplitude of each non-empty interference burst
+    over a trace of n samples."""
+    for start_frac, len_frac, amplitude in cfg.interference:
+        start = int(round(start_frac * n))
+        stop = min(n, start + int(round(len_frac * n)))
+        if stop > start:
+            yield start, stop, amplitude
+
+
+def _covered(lo: np.ndarray, hi: np.ndarray, cfg: SimConfig, n: int) -> np.ndarray:
+    """Whether an interference burst overlaps each span ``lo:hi`` of a
+    trace of n samples."""
+    covered = np.zeros(lo.shape, dtype=bool)
+    for start, stop, _ in _burst_spans(cfg, n):
+        covered |= (lo < stop) & (hi > start)
+    return covered
+
+
 def _render(
-    layout: _Layout, spans: np.ndarray, cfg: SimConfig, rng: np.random.Generator
+    layout: _Layout, spans: np.ndarray, cfg: SimConfig, rng: np.random.Generator,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Samples ``lo:hi`` of the laid-out waveform for each span (lo, hi),
     one row per span; the spans share one width, and each starts and
-    ends on a segment edge.
+    ends on a segment edge.  With one row of levels per trace, the rows
+    are each trace's spans, trace after trace.
 
-    The envelope multiplies a carrier at ``cfg.f_mod`` and Gaussian noise
-    is added on top, drawn for the rendered samples only, row after row.
+    The envelope multiplies a carrier at ``cfg.f_mod``, and Gaussian
+    noise is added on top, drawn for the rendered samples only, row
+    after row (or taken from ``noise``: standard normal draws that the
+    caller made between its own).  Last, each trace gets every
+    interference burst its spans overlap: white noise smoothed to the
+    signal band, of RMS about ``amplitude``, on the same carrier, so the
+    bandpass cannot remove it.  The burst noise comes from a child of
+    ``rng``, so every other draw is the same with bursts or without.
     The span (0, n) renders the whole trace.
     """
     lo, hi = spans[:, 0], spans[:, 1]
@@ -401,10 +425,14 @@ def _render(
     seg = np.arange(int(counts.sum())) + np.repeat(first - offsets, counts)
 
     # In place: each temporary of a full trace's length raises peak memory.
-    rows = np.repeat(layout.levels[seg], np.diff(layout.edges)[seg])
-    rows = rows.reshape(len(spans), width)
-    rows *= _carrier(width, cfg.sample_rate, cfg.f_mod, lo.tobytes())
-    if cfg.noise_sigma > 0.0:
+    rows = np.repeat(layout.levels[..., seg], np.diff(layout.edges)[seg], axis=-1)
+    rows = rows.reshape(-1, len(spans), width)
+    carrier = _carrier(width, cfg.sample_rate, cfg.f_mod, lo.tobytes())
+    rows *= carrier
+    if noise is not None:
+        noise *= cfg.noise_sigma
+        rows += noise.reshape(rows.shape)
+    elif cfg.noise_sigma > 0.0:
         # Bit for bit rng.normal(0.0, sigma, rows.size): the same draws,
         # scaled in place, in blocks through one buffer, so no second
         # array of the rows' size exists.
@@ -416,7 +444,29 @@ def _render(
             rng.standard_normal(out=noise)
             noise *= cfg.noise_sigma
             samples[start : start + noise.size] += noise
-    return rows
+    bursts = _burst_spans(cfg, int(layout.edges[-1]))
+    bursts = [(a, b, amplitude) for a, b, amplitude in bursts if ((lo < b) & (hi > a)).any()]
+    if bursts:
+        burst_rng = rng.spawn(1)[0]
+        smoothing = max(1, cfg.samples_per_event // 2)
+        kernel = np.ones(smoothing) / smoothing
+        skip = (smoothing - 1) // 2
+        for trace in rows:
+            for start, stop, amplitude in bursts:
+                # The centred slice of the full convolution: "same" mode
+                # returns the kernel's length when the burst is shorter.
+                full = np.convolve(burst_rng.standard_normal(stop - start), kernel)
+                envelope = amplitude * np.sqrt(smoothing) * full[skip : skip + stop - start]
+                for row, wave, s_lo, s_hi in zip(trace, carrier, lo.tolist(), hi.tolist()):
+                    a, b = max(s_lo, start), min(s_hi, stop)
+                    if a < b:
+                        burst = envelope[a - start : b - start] * wave[a - s_lo : b - s_lo]
+                        row[a - s_lo : b - s_lo] += burst
+    return rows.reshape(-1, width)
+
+
+def _trace_meta(cfg: SimConfig, meta: dict[str, str] | None) -> dict[str, str]:
+    return {"f_cpu": str(cfg.f_cpu), "mod_ratio": str(cfg.mod_ratio), **(meta or {})}
 
 
 def synthesize(
@@ -429,69 +479,21 @@ def synthesize(
     """Render an event stream into a noisy amplitude-modulated waveform.
 
     The events are laid out by ``_layout`` (envelope levels, an
-    interruption gap) and rendered whole by ``_render`` (carrier, noise).
+    interruption gap) and rendered whole by ``_render`` (carrier, noise,
+    interference bursts); the markers a burst overlaps are flagged.
     The recorder's columns are validated here, once.
     """
     kinds, leaks, conds = _event_columns(events)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     layout = _layout(kinds, leaks, cfg, rng)
-    samples = _render(layout, np.array([[0, layout.edges[-1]]]), cfg, rng)[0]
-
-    trace_meta = {
-        "f_cpu": str(cfg.f_cpu),
-        "mod_ratio": str(cfg.mod_ratio),
-    }
-    if meta:
-        trace_meta.update(meta)
-    markers = MarkerTable(layout.starts, layout.ends, kinds, conds)
+    n = int(layout.edges[-1])
+    samples = _render(layout, np.array([[0, n]]), cfg, rng)[0]
+    flagged = _covered(layout.starts, layout.ends, cfg, n)
+    markers = MarkerTable(layout.starts, layout.ends, kinds, conds, flagged)
     return LeakageTrace(
-        samples=samples, sample_rate=cfg.sample_rate, markers=markers, meta=trace_meta
-    )
-
-
-def _burst_spans(cfg: SimConfig, n: int):
-    """Start, stop and amplitude of each non-empty interference burst
-    over a trace of n samples."""
-    for start_frac, len_frac, amplitude in cfg.interference:
-        start = int(round(start_frac * n))
-        stop = min(n, start + int(round(len_frac * n)))
-        if stop > start:
-            yield start, stop, amplitude
-
-
-def inject_interference(
-    trace: LeakageTrace,
-    cfg: SimConfig,
-    rng: np.random.Generator | None = None,
-) -> LeakageTrace:
-    """Overlay band-limited noise bursts on the configured spans.
-
-    Each burst is white noise smoothed to the signal band and modulated
-    onto the same carrier as the trace, so it cannot be removed by the
-    bandpass stage.  Markers whose span overlaps a burst are flagged.
-    ``amplitude`` is the approximate RMS of the burst envelope.
-    """
-    if not cfg.interference:
-        return trace
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    n = trace.samples.size
-    smoothing = max(1, cfg.samples_per_event // 2)
-    kernel = np.ones(smoothing) / smoothing
-    out = trace.samples.astype(np.float64, copy=True)
-    flagged = np.zeros(len(trace.markers), dtype=bool)
-    for start, stop, amplitude in _burst_spans(cfg, n):
-        envelope = np.convolve(rng.normal(0.0, 1.0, stop - start), kernel, "same")
-        envelope *= np.sqrt(smoothing)
-        t = np.arange(start, stop, dtype=np.float64) / trace.sample_rate
-        out[start:stop] += amplitude * envelope * np.cos(2.0 * np.pi * cfg.f_mod * t)
-        flagged |= (trace.markers.starts < stop) & (trace.markers.ends > start)
-    return LeakageTrace(
-        samples=out,
-        sample_rate=trace.sample_rate,
-        markers=trace.markers.with_interference(flagged),
-        meta=dict(trace.meta),
+        samples=samples, sample_rate=cfg.sample_rate, markers=markers,
+        meta=_trace_meta(cfg, meta),
     )
 
 
@@ -620,7 +622,8 @@ def generate_training_set(
 
     Each trace randomly picks the mostly-swap or mostly-hold nonce and a
     random base point, runs the multiplier with a freshly seeded swap
-    variant, and labels every swap window from ground truth.
+    variant, and labels every swap window from ground truth, flagging
+    those an interference burst covers.
     """
     if count < 1:
         raise DomainError("count must be at least 1")
@@ -630,14 +633,16 @@ def generate_training_set(
     width = curve.n.bit_length()
     traces: list[LeakageTrace] = []
     labels = np.empty((count, width), dtype=np.int8)
+    interfered = np.empty((count, width), dtype=bool)
     for i, recorder in enumerate(_training_runs(curve, variant, count, rng, multiplier)):
         trace = synthesize(recorder, cfg, rng, meta=meta)
         windows = swap_windows(trace)
         if len(windows) != width:
             raise DomainError("scalar multiplication recorded a short schedule")
         labels[i] = [w.cond for w in windows]
+        interfered[i] = [w.interfered for w in windows]
         traces.append(trace)
-    return TraceSet(traces, labels)
+    return TraceSet(traces, labels, interfered)
 
 
 def generate_training_windows(
@@ -677,8 +682,7 @@ def generate_training_windows(
         # splits is longer than the others.
         gaps = np.flatnonzero(layout.starts[1:] > layout.ends[:-1]) + 1
         keep = ~((first[:, None] < gaps) & (gaps < stop[:, None])).any(axis=1)
-        for start, end, _ in _burst_spans(cfg, int(layout.edges[-1])):
-            keep &= (spans[:, 1] <= start) | (spans[:, 0] >= end)
+        keep &= ~_covered(spans[:, 0], spans[:, 1], cfg, int(layout.edges[-1]))
         if keep.any():
             parts.append(_render(layout, spans[keep], cfg, rng))
             labels.append(conds[first[keep]])
@@ -701,36 +705,45 @@ def generate_swap_windows(
 
     This is the capture campaign shape used for leakage assessment and
     profiling: many short traces, each covering a single swap with a
-    known condition and fresh random register contents.
+    known condition and fresh random register contents.  Each window
+    draws its operands, variant seed and noise in that order, as if
+    synthesized alone, but the windows share their event kinds, so they
+    are laid out and rendered as one, a row of levels per window.
+    Interruptions model a preempted scalar multiplication: none here.
     """
     if word_count < 1:
         raise DomainError("word_count must be at least 1")
     if len(conds) == 0:
         raise DomainError("conds must not be empty")
+    if cfg.interruption_prob > 0.0:
+        raise ConfigError("a swap-window campaign takes no interruptions")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     kind = _variant_kind(variant)
-    traces: list[LeakageTrace] = []
-    labels = np.empty((len(conds), 1), dtype=np.int8)
+    recorder = EventRecorder()
+    noise = None
     for i, cond in enumerate(conds):
-        words = rng.integers(0, 2**64, 2 * word_count, dtype=np.uint64)
-        pair = WordArrayPair(
-            tuple(int(w) for w in words[:word_count]),
-            tuple(int(w) for w in words[word_count:]),
-        )
+        words = rng.integers(0, 2**64, 2 * word_count, dtype=np.uint64).tolist()
+        pair = WordArrayPair(tuple(words[:word_count]), tuple(words[word_count:]))
         variant_inst = SwapVariant(kind, rng_seed=int(rng.integers(0, 2**63)))
-        recorder = EventRecorder()
         ct_swap(variant_inst, pair, int(cond), recorder)
-        traces.append(
-            synthesize(
-                recorder,
-                cfg,
-                rng,
-                meta={"variant": kind.value, "word_count": str(word_count)},
-            )
-        )
-        labels[i, 0] = int(cond)
-    return TraceSet(traces, labels)
+        if cfg.noise_sigma > 0.0:
+            if noise is None:  # every window lasts as long as the first
+                width = int((cfg.samples_per_event // _DIVISORS)[recorder.kinds].sum())
+                noise = np.empty((len(conds), width))
+            rng.standard_normal(out=noise[i])
+    kinds, leaks, _ = _event_columns(recorder)
+    events = kinds.size // len(conds)
+    layout = _layout(kinds[:events], leaks.reshape(len(conds), events), cfg, rng)
+    width = int(layout.edges[-1])
+    rows = _render(layout, np.array([[0, width]]), cfg, rng, noise)
+    markers = MarkerTable.empty()
+    meta = _trace_meta(cfg, {"variant": kind.value, "word_count": str(word_count)})
+    traces = [LeakageTrace(row, cfg.sample_rate, markers, meta) for row in rows]
+    labels = np.asarray(conds, dtype=np.int8).reshape(-1, 1)
+    # A window spans its whole trace, so every burst covers it.
+    interfered = np.full(labels.shape, any(_burst_spans(cfg, width)))
+    return TraceSet(traces, labels, interfered)
 
 
 def labels_path(path: Path | str) -> Path:

@@ -18,7 +18,8 @@ from nonce_lab import swap_impls
 from nonce_lab.errors import DomainError
 from nonce_lab.events import KIND_BY_CODE, WORD_BITS, EventRecorder, OpKind
 from nonce_lab.ff_curve import Field, ProjectivePoint, _affine_point, _recover_y
-from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair
+from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
+from nonce_lab.tracesim import LeakageTrace, MarkerTable, TraceSet, synthesize
 
 WORD_MASK = (1 << WORD_BITS) - 1
 
@@ -716,3 +717,53 @@ def marker_columns(recorder, samples_per_event, divisors):
         t += samples_per_event // divisors[KIND_BY_CODE[code]]
         ends.append(t)
     return starts, ends, list(recorder.kinds), list(recorder.conds)
+
+
+def burst_overlay(trace, cfg, rng):
+    """The trace with band-limited noise bursts added on the configured
+    spans, from ``rng``, and the markers a burst overlaps flagged: each
+    burst is white noise smoothed by ``np.convolve`` in "same" mode,
+    scaled to unit RMS, times ``amplitude`` and the carrier at each
+    sample's time.  Needs bursts at least as long as the smoothing
+    kernel."""
+    if not cfg.interference:
+        return trace
+    n = trace.samples.size
+    smoothing = max(1, cfg.samples_per_event // 2)
+    kernel = np.ones(smoothing) / smoothing
+    out = trace.samples.astype(np.float64, copy=True)
+    mt = trace.markers
+    flagged = mt.interfered.copy()
+    for start_frac, len_frac, amplitude in cfg.interference:
+        start = int(round(start_frac * n))
+        stop = min(n, start + int(round(len_frac * n)))
+        if stop <= start:
+            continue
+        envelope = np.convolve(rng.normal(0.0, 1.0, stop - start), kernel, "same")
+        envelope *= np.sqrt(smoothing)
+        t = np.arange(start, stop, dtype=np.float64) / trace.sample_rate
+        out[start:stop] += amplitude * envelope * np.cos(2.0 * np.pi * cfg.f_mod * t)
+        flagged |= (mt.starts < stop) & (mt.ends > start)
+    markers = MarkerTable(mt.starts, mt.ends, mt.kinds, mt.conds, flagged)
+    return LeakageTrace(out, trace.sample_rate, markers, dict(trace.meta))
+
+
+def window_by_window_campaign(variant, word_count, conds, cfg, rng):
+    """A swap-window campaign synthesized one window at a time: per
+    window its operands, its variant seed, then a whole ``synthesize``
+    call with its own markers.  It shares ``synthesize`` and ``ct_swap``
+    with the package; what it checks is the batched campaign's layout
+    and draw order."""
+    kind = SwapKind(variant)
+    traces = []
+    for cond in conds:
+        words = rng.integers(0, 2**64, 2 * word_count, dtype=np.uint64)
+        pair = WordArrayPair(
+            tuple(int(w) for w in words[:word_count]),
+            tuple(int(w) for w in words[word_count:]),
+        )
+        recorder = EventRecorder()
+        ct_swap(SwapVariant(kind, rng_seed=int(rng.integers(0, 2**63))), pair, int(cond), recorder)
+        meta = {"variant": kind.value, "word_count": str(word_count)}
+        traces.append(synthesize(recorder, cfg, rng, meta=meta))
+    return TraceSet(traces, np.asarray(conds, dtype=np.int8).reshape(-1, 1))

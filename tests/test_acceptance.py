@@ -43,12 +43,11 @@ from nonce_lab.tracesim import (
     SimConfig,
     generate_swap_windows,
     generate_training_set,
-    inject_interference,
     swap_windows,
     synthesize,
 )
 
-from oracles import mul_run_lengths, step_peak_groups
+from oracles import burst_overlay, mul_run_lengths, step_peak_groups
 
 LEAK_THRESHOLD = 4.5
 
@@ -212,7 +211,7 @@ def test_classifier_accuracy_properties():
     burst_cfg = SimConfig(noise_sigma=4.0, interference=((0.0, 1.0, 20.0),))
     burst_rng = np.random.default_rng([777, 0x1F])
     jammed = np.stack(
-        [inject_interference(t, burst_cfg, burst_rng).samples for t in test.traces]
+        [burst_overlay(t, burst_cfg, burst_rng).samples for t in test.traces]
     )
     features = feature_matrix(jammed, int(model.trained_on["median_samples"]))
     guesses, _ = classify_batch(model, features)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nonce_lab
@@ -18,7 +19,7 @@ from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
 from nonce_lab.analysis import read_model, write_model
 from nonce_lab.errors import AlignmentError
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
-from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path
+from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path, read_trace_set
 
 
 def run_cli(*argv):
@@ -294,6 +295,28 @@ class TestSimulatePipeline:
                 tmp_path / "two" / artifact
             ).read_bytes()
 
+    def test_burst_shorter_than_the_smoothing_kernel(self, tmp_path):
+        # A tenth of a 56-sample secp128r1 window is a 6-sample burst,
+        # under the 32-sample smoothing kernel.
+        cfg = write_config(tmp_path / "c.json", interference=[[0.3, 0.1, 5.0]])
+        assert run_cli(
+            "simulate", "--shape", "windows", "--count", 130, "--curve", "secp128r1",
+            "--seed", 4, "--config", cfg, "--out", tmp_path / "s",
+        ) == 0
+        rows = (tmp_path / "s/traces.labels.csv").read_text().splitlines()[1:]
+        assert len(rows) == 130 and all(row.endswith(",1") for row in rows)
+
+    def test_interrupted_window_campaign_is_config_error(self, tmp_path, capsys):
+        # An interruption would split a window, and a campaign of unequal
+        # windows is a file no command reads.
+        cfg = write_config(tmp_path / "c.json", interruption_prob=0.5)
+        assert run_cli(
+            "simulate", "--shape", "windows", "--count", 64, "--curve", "secp128r1",
+            "--seed", 1, "--config", cfg, "--out", tmp_path / "s",
+        ) == 1
+        assert_one_error_line(capsys, "config")
+        assert not (tmp_path / "s/traces.trc").exists()
+
     @pytest.mark.parametrize(
         "count, width, meta, labels",
         [
@@ -513,10 +536,28 @@ class TestAttack:
         assert_one_error_line(capsys, "alignment")
         assert multiprocessing.active_children() == []
 
+    def test_bursts_jam_the_victim_inside_them_only(self, tmp_path):
+        """The victim capture carries the burst: its samples change inside
+        it and nowhere else, and its flags mark the windows it covers."""
+        runs = {}
+        for name, bursts in (("clean", []), ("jammed", [[0.4, 0.2, 5.0]])):
+            cfg = self.attack_config(tmp_path, interference=bursts)
+            out = tmp_path / name
+            assert run_cli("attack", "--config", cfg, "--out", out) in (0, 2)
+            runs[name] = out
+        clean, jammed = (read_trace_set(runs[name] / "trace.trc") for name in runs)
+        before, after = clean.traces[0].samples, jammed.traces[0].samples
+        n = before.size
+        start, stop = round(0.4 * n), round(0.4 * n) + round(0.2 * n)
+        changed = np.flatnonzero(before != after)
+        assert changed.size > 0 and start <= changed.min() and changed.max() < stop
+        assert np.array_equal(clean.labels, jammed.labels)
+        assert not clean.interfered.any() and 0 < jammed.interfered.sum() < jammed.interfered.size
+
     def test_worker_error_reads_the_same_at_any_jobs(self, tmp_path, capsys):
         # Every training window lies under the burst, so each chunk
-        # worker's harvest finds nothing to keep; the victim capture
-        # carries no interference and aligns as usual.
+        # worker's harvest finds nothing to keep; the victim capture is
+        # jammed too, but faintly enough to align.
         cfg = self.attack_config(tmp_path, interference=[[0.0, 1.0, 1.0]])
         errors = []
         for jobs in (1, 2):

@@ -28,7 +28,6 @@ from nonce_lab.tracesim import (
     generate_swap_windows,
     generate_training_set,
     generate_training_windows,
-    inject_interference,
     labels_path,
     read_trace_set,
     swap_windows,
@@ -37,7 +36,7 @@ from nonce_lab.tracesim import (
     write_trace_set,
 )
 
-from oracles import marker_columns
+from oracles import burst_overlay, marker_columns, window_by_window_campaign
 
 
 def quiet_cfg(**overrides):
@@ -269,15 +268,19 @@ def test_interruption_splices_a_silent_gap(toy):
 
 
 def test_interference_noop_without_bursts(toy):
-    trace = synthesize(step_events(toy), quiet_cfg())
-    assert inject_interference(trace, quiet_cfg()) is trace
+    """Bursts of zero length render the burst-free trace and leave the
+    generator's children unspawned."""
+    rng = np.random.default_rng(4)
+    trace = synthesize(step_events(toy), SimConfig(interference=((0.5, 0.0, 9.0),)), rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    plain = synthesize(step_events(toy), SimConfig(), np.random.default_rng(4))
+    assert trace.samples.tobytes() == plain.samples.tobytes()
+    assert trace.markers == plain.markers and not trace.markers.interfered.any()
 
 
 def test_interference_flags_covered_markers(toy):
-    base_cfg = quiet_cfg()
-    trace = synthesize(step_events(toy), base_cfg)
-    burst_cfg = quiet_cfg(interference=((0.25, 0.2, 100.0),))
-    noisy = inject_interference(trace, burst_cfg, np.random.default_rng(11))
+    trace = synthesize(step_events(toy), quiet_cfg())
+    noisy = synthesize(step_events(toy), quiet_cfg(interference=((0.25, 0.2, 100.0),)))
     n = trace.samples.size
     start, stop = round(0.25 * n), round(0.25 * n) + round(0.2 * n)
 
@@ -292,6 +295,48 @@ def test_interference_flags_covered_markers(toy):
         overlaps = before.starts[i] < stop and before.ends[i] > start
         assert after.interfered[i] == overlaps
         assert not before.interfered[i]
+
+
+@pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+def test_bursts_match_the_reference_overlay(toy, multiplier):
+    """Rendered with the trace, bursts leave every sample outside them,
+    and the operand, noise and interruption draws, as the reference
+    overlay on the burst-free trace does, and flag the same markers;
+    overlaid from the trace generator's first child, the reference
+    matches inside them too, up to rounding."""
+    rec = EventRecorder()
+    scalar = Scalar.for_curve(0x9C31, toy)
+    if multiplier == "ladder":
+        montgomery_ladder(scalar, toy.generator, toy, SwapVariant(SwapKind.PLAIN), rec)
+    else:
+        G = ProjectivePoint.from_affine(*toy.generator, toy.field)
+        double_and_always_add(scalar, G, toy, SwapVariant(SwapKind.PLAIN), rec)
+    bursts = ((0.1, 0.2, 5.0), (0.7, 0.05, 3.0))
+    for interruption_prob in (0.0, 1.0):
+        cfg = SimConfig(interference=bursts, interruption_prob=interruption_prob, seed=5)
+        got = synthesize(rec, cfg)
+        clean = synthesize(rec, SimConfig(interruption_prob=interruption_prob, seed=5))
+        want = burst_overlay(clean, cfg, np.random.default_rng(5).spawn(1)[0])
+        n = got.samples.size
+        assert n == clean.samples.size
+        outside = np.ones(n, dtype=bool)
+        for start, length, _ in bursts:
+            outside[round(start * n) : round(start * n) + round(length * n)] = False
+        assert got.samples[outside].tobytes() == want.samples[outside].tobytes()
+        assert not np.array_equal(got.samples[~outside], clean.samples[~outside])
+        np.testing.assert_allclose(got.samples, want.samples, rtol=0.0, atol=1e-9)
+        assert got.markers == want.markers
+        assert 0 < got.markers.interfered.sum() < len(got.markers)
+
+
+def test_burst_shorter_than_the_smoothing_kernel_keeps_its_length():
+    # 6 samples of burst against a 32-sample kernel.
+    cfg = quiet_cfg(interference=((0.5, 0.05, 5.0),))
+    trace = synthesize(flat_events(2), cfg)
+    plain = synthesize(flat_events(2), quiet_cfg())
+    changed = np.flatnonzero(trace.samples != plain.samples)
+    assert 0 < changed.size and 64 <= changed.min() and changed.max() < 64 + 7
+    assert trace.markers.interfered.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("multiplier", ["ladder", "daa"])
@@ -401,6 +446,44 @@ def test_generate_swap_windows_layout_and_labels():
     again = generate_swap_windows(SwapKind.PLAIN, 9, conds, cfg)
     for a, b in zip(ts.traces, again.traces):
         assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("word_count", [1, 9])
+@pytest.mark.parametrize("variant", list(SwapKind))
+def test_campaign_equals_the_window_by_window_reference(variant, word_count, sigma):
+    cfg = SimConfig(noise_sigma=sigma, seed=31)
+    conds = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0]
+    ts = generate_swap_windows(variant, word_count, conds, cfg, np.random.default_rng(8))
+    ref = window_by_window_campaign(variant, word_count, conds, cfg, np.random.default_rng(8))
+    got = np.stack([t.samples for t in ts.traces])
+    assert got.tobytes() == np.stack([t.samples for t in ref.traces]).tobytes()
+    assert np.array_equal(ts.labels, ref.labels)
+    assert not ts.interfered.any()
+    assert all(t.meta == ref.traces[0].meta for t in ts.traces)
+    assert len({id(t.markers) for t in ts.traces}) == 1 and len(ts.traces[0].markers) == 0
+
+
+def test_campaign_bursts_cover_every_window():
+    conds = [0, 1, 1, 0]
+    cfg = SimConfig(seed=2, interference=((0.3, 0.1, 5.0),))
+    ts = generate_swap_windows("plain", 9, conds, cfg)
+    ref = window_by_window_campaign("plain", 9, conds, SimConfig(seed=2), np.random.default_rng(2))
+    got, want = (np.stack([t.samples for t in s.traces]) for s in (ts, ref))
+    width = got.shape[1]
+    start, stop = round(0.3 * width), round(0.3 * width) + round(0.1 * width)
+    inside = np.zeros(width, dtype=bool)
+    inside[start:stop] = True
+    assert got[:, ~inside].tobytes() == want[:, ~inside].tobytes()
+    assert (got[:, inside] != want[:, inside]).all(axis=1).any()
+    # Each window draws its own burst.
+    assert not np.array_equal(got[0, inside] - want[0, inside], got[1, inside] - want[1, inside])
+    assert ts.interfered.all()
+
+
+def test_campaign_takes_no_interruptions():
+    with pytest.raises(ConfigError, match="interruptions"):
+        generate_swap_windows("plain", 1, [0, 1], quiet_cfg(interruption_prob=0.01))
 
 
 def test_trace_set_rejects_mismatched_labels(toy):
@@ -524,15 +607,12 @@ def test_non_utf8_label_sidecar_is_domain_error(tmp_path):
 
 
 def _harvest(curve, variant, count, cfg, seed, multiplier):
-    """Profiling through full traces: render them whole, flag the windows
-    an interference burst covers, cut the rest out."""
+    """Profiling through full traces: render them whole, bursts and their
+    flags included, and cut out the windows no burst covers."""
     full = generate_training_set(
         curve, variant, count, cfg, np.random.default_rng(seed), multiplier=multiplier
     )
-    burst_rng = np.random.default_rng(99)
-    traces = [inject_interference(t, cfg, burst_rng) for t in full.traces]
-    flags = [[w.interfered for w in swap_windows(t)] for t in traces]
-    return full, harvest_swap_windows(TraceSet(traces, full.labels, flags))
+    return full, harvest_swap_windows(full)
 
 
 def _rendered(curve, variant, count, cfg, seed, multiplier):
