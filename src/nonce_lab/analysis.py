@@ -20,6 +20,7 @@ from scipy import linalg
 
 from .dsp import AlignedSwapWindows, check_median_window, rectified_envelope
 from .errors import AlignmentError, ConfigError, DomainError, StatError
+from .ff_curve import MULTIPLIERS
 from .tracesim import (
     LeakageTrace,
     MarkerTable,
@@ -382,7 +383,7 @@ def recover_nonce_bits(
     trace: LeakageTrace,
     model: TemplateModel,
     windows: AlignedSwapWindows,
-    multiplier: str | None = None,
+    multiplier: str,
 ) -> NonceEstimate:
     """Classify every aligned swap window and undo the swap encoding.
 
@@ -394,9 +395,7 @@ def recover_nonce_bits(
     width comes from the model metadata, so scoring repeats the
     training preprocessing.
     """
-    if multiplier is None:
-        multiplier = trace.meta.get("multiplier", "ladder")
-    if multiplier not in ("ladder", "daa"):
+    if multiplier not in MULTIPLIERS:
         raise ConfigError(f"unknown multiplier {multiplier!r}")
     if len(windows) == 0:
         raise AlignmentError("no swap windows to classify")

@@ -9,11 +9,12 @@ artifacts alone.
 
 All randomness descends from the single root seed through labeled hash
 derivation, so outputs do not depend on ``--jobs`` or evaluation order.
-``jobs`` defaults to ``None`` (``config.json`` echoes ``null``): every
-CPU this process may run on for ``attack`` and ``experiment``, and this
-process alone for ``simulate``, whose traces take about as long to move
-between processes as to make.  At one job every task runs in this
-process.  ``attack`` profiles in the workers while it captures and
+``jobs`` is the number of worker processes of ``attack`` and
+``experiment``; it defaults to ``None`` (``config.json`` echoes
+``null``), every CPU this process may run on.  At one job every task
+runs in this process.  ``simulate`` always runs in this process: its
+traces take about as long to move between processes as to make.
+``attack`` profiles in the workers while it captures and
 aligns the victim trace: each training chunk renders only the swap
 windows of its runs and reduces them to envelope features in one
 worker, and only the features come back, in a file in a temporary
@@ -59,7 +60,6 @@ from .analysis import (
 )
 from .dsp import align_swaps, write_windows_csv
 from .ecdsa import (
-    MULTIPLIERS,
     keygen,
     parse_hex,
     read_private_key,
@@ -79,7 +79,7 @@ from .errors import (
     StatError,
 )
 from .events import EventRecorder
-from .ff_curve import fast_multiply, get_curve
+from .ff_curve import MULTIPLIERS, fast_multiply, get_curve
 from .recover import (
     ExperimentConfig,
     build_hnp,
@@ -94,6 +94,7 @@ from .tracesim import (
     generate_swap_windows,
     generate_training_set,
     generate_training_windows,
+    labels_path,
     read_trace_set,
     swap_windows,
     synthesize,
@@ -102,8 +103,8 @@ from .tracesim import (
 
 _VARIANTS = tuple(kind.value for kind in SwapKind)
 
-# One generation unit per worker task; fixed so the byte-level output is
-# the same for every --jobs value.
+# Generation units, each under its own derived seed; fixed so the output
+# is the same for every --jobs value.
 _WINDOW_CHUNK = 64
 _SCALAR_CHUNK = 4
 
@@ -251,9 +252,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _echo_config(rc: RunConfig, command: str, out_dir: Path) -> None:
     payload = dataclasses.asdict(rc)
-    payload["interference"] = [list(b) for b in rc.interference]
-    for key in ("grid_leak_bits", "grid_signatures", "grid_error_rates"):
-        payload[key] = list(payload[key])
     payload["command"] = command
     payload["version"] = __version__
     _write_json(out_dir / "config.json", payload)
@@ -270,18 +268,6 @@ def _merge_sets(parts: Sequence[TraceSet]) -> TraceSet:
     traces = [trace for part in parts for trace in part.traces]
     labels = np.vstack([part.labels for part in parts])
     return TraceSet(traces, labels, np.vstack([part.interfered for part in parts]))
-
-
-def _windows_chunk(task) -> TraceSet:
-    variant, word_count, conds, cfg = task
-    return generate_swap_windows(variant, word_count, conds, cfg)
-
-
-def _scalars_chunk(task) -> TraceSet:
-    curve_name, variant, multiplier, count, cfg = task
-    return generate_training_set(
-        get_curve(curve_name), variant, count, cfg, multiplier=multiplier
-    )
 
 
 class _InlineExecutor(Executor):
@@ -318,14 +304,9 @@ def _executor(jobs: int | None, tasks: int):
         pool.shutdown(wait=True)
 
 
-def _run_chunks(worker, tasks, jobs: int | None) -> list:
-    with _executor(jobs, len(tasks)) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _windows_tasks(rc: RunConfig, seed: int) -> list:
-    # Exactly balanced classes in seed-derived order; chunk boundaries
-    # are fixed so the output is identical for every jobs value.
+    # Exactly balanced classes in seed-derived order, cut into chunks of
+    # fixed size, each rendered under its own derived seed.
     conds = np.repeat([0, 1], [(rc.count + 1) // 2, rc.count // 2])
     conds = np.random.default_rng(derive_seed(seed, "conds")).permutation(conds)
     tasks = []
@@ -348,6 +329,8 @@ def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
 def _window_level(trace_set: TraceSet, source: str) -> TraceSet:
     if trace_set.labels.shape[1] == 1:
         return trace_set
+    if trace_set.labels.shape[1] == 0:
+        raise DomainError(f"{source}: no labels; {labels_path(source)} is missing or empty")
     raise ConfigError(
         f"{source}: full-scalar trace files carry no window boundaries; "
         "use a trace set simulated with shape=windows"
@@ -413,12 +396,13 @@ def cmd_simulate(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, "simulate")
     seed = derive_seed(rc.seed, "simulate")
     if rc.shape == "windows":
-        worker, tasks = _windows_chunk, _windows_tasks(rc, seed)
+        parts = [generate_swap_windows(*task) for task in _windows_tasks(rc, seed)]
     else:
-        worker, tasks = _scalars_chunk, _scalars_tasks(rc, seed, rc.count)
-    # Whole traces take about as long to pickle back from a worker as to
-    # make, so a campaign runs in this process unless --jobs asks for more.
-    trace_set = _merge_sets(_run_chunks(worker, tasks, rc.jobs or 1))
+        parts = [
+            generate_training_set(get_curve(name), variant, count, cfg, multiplier=multiplier)
+            for name, variant, multiplier, count, cfg in _scalars_tasks(rc, seed, rc.count)
+        ]
+    trace_set = _merge_sets(parts)
     write_trace_set(trace_set, out / "traces.trc")
     print(
         f"wrote {len(trace_set.traces)} {rc.shape} trace(s) "
@@ -527,6 +511,12 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
     curve = get_curve(rc.curve)
     seed = rc.seed
     model = read_model(args.model) if args.model else None
+    # A model from ``train`` names no curve.  The multiplier is not checked:
+    # a ladder model reads double-and-add swaps too.
+    if model is not None and model.trained_on.get("curve", curve.name) != curve.name:
+        raise ConfigError(
+            f"{args.model}: model was trained on {model.trained_on['curve']}, not {curve.name}"
+        )
     tasks = _scalars_tasks(rc, derive_seed(seed, "train"), rc.train_count) if model is None else []
     # The profiling chunks run in the workers while this process captures
     # and aligns the victim trace, which needs no model.  The pool is
@@ -667,7 +657,8 @@ def cmd_experiment(rc: RunConfig, args: argparse.Namespace) -> int:
                         max_tries=rc.max_tries,
                     )
                 )
-    results = _run_chunks(run_experiment, cells, rc.jobs)
+    with _executor(rc.jobs, len(cells)) as pool:
+        results = list(pool.map(run_experiment, cells))
     write_results_csv(results, out / "results.csv")
     with open(out / "timing.txt", "w") as fh:
         for res in results:
@@ -708,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--multiplier", choices=MULTIPLIERS, help="scalar multiplier")
     common.add_argument(
         "--jobs", type=int,
-        help="worker processes (default: every usable CPU; 1 for simulate)",
+        help="worker processes of attack and experiment (default: every usable CPU)",
     )
     common.add_argument("--out", metavar="DIR", help="output directory")
 

@@ -31,13 +31,7 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import AlignmentError, ConfigError, DomainError
 from .events import KIND_BY_CODE, WORD_OP_KINDS, EventRecorder
-from .ff_curve import (
-    CurveParams,
-    ProjectivePoint,
-    Scalar,
-    double_and_always_add,
-    montgomery_ladder,
-)
+from .ff_curve import CurveParams, ProjectivePoint, Scalar, traced_multiply
 from .swap_impls import SwapKind, SwapVariant
 from .tracesim import LeakageTrace, SimConfig, synthesize
 
@@ -53,33 +47,11 @@ _FFT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
-class FilterSpec:
-    """Passband description for the carrier isolation stage."""
-
-    center: float
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if self.center <= 0.0 or self.bandwidth <= 0.0:
-            raise ConfigError("center and bandwidth must be positive")
-        if self.center - self.bandwidth / 2.0 <= 0.0:
-            raise ConfigError("passband extends to or below zero frequency")
-
-    def validate_for(self, sample_rate: float) -> None:
-        if self.center + self.bandwidth / 2.0 >= sample_rate / 2.0:
-            raise ConfigError(
-                f"passband top {self.center + self.bandwidth / 2.0:g} Hz "
-                f"reaches the Nyquist limit of {sample_rate / 2.0:g} Hz"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class AlignedSwapWindows:
     """Per-swap spans recovered from a trace, with match confidence."""
 
     spans: tuple[tuple[int, int], ...]
     confidence: tuple[float, ...]
-    detected_pattern_positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.spans) != len(self.confidence):
@@ -170,40 +142,29 @@ def _fft_convolve(
     return out
 
 
-def bandpass(trace: LeakageTrace, spec: FilterSpec) -> LeakageTrace:
-    """Linear-phase FIR bandpass with the group delay compensated.
+def bandpass(samples: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Linear-phase FIR band-pass of ``samples`` around the leak carrier,
+    ``f_mod`` +- ``f_mod / 4``, with the group delay compensated.
 
     The stopband begins one full bandwidth away from the center and is
-    attenuated by at least 40 dB there.  Because the kernel is symmetric
-    and applied centered, the output is not delayed: marker spans remain
-    valid without any shift.
+    attenuated by at least 40 dB there; ``SimConfig`` keeps the band below
+    the Nyquist limit.  Because the kernel is symmetric and applied
+    centered, the output is not delayed: marker spans remain valid
+    without any shift.
     """
-    spec.validate_for(trace.sample_rate)
-    nyquist = trace.sample_rate / 2.0
-    transition = (spec.bandwidth / 2.0) / nyquist
+    bandwidth = 0.5 * cfg.f_mod
+    transition = (bandwidth / 2.0) / (cfg.sample_rate / 2.0)
     numtaps, beta = _kaiserord(_STOPBAND_DB, transition)
     numtaps |= 1
-    if numtaps > trace.samples.size:
+    if numtaps > samples.size:
         raise ConfigError(
-            f"trace of {trace.samples.size} samples is too short for a "
+            f"trace of {samples.size} samples is too short for a "
             f"{numtaps}-tap filter at this bandwidth"
         )
-    taps = _kaiser_bandpass(
-        numtaps,
-        (spec.center - spec.bandwidth / 2.0, spec.center + spec.bandwidth / 2.0),
-        beta,
-        trace.sample_rate,
-    )
+    band = (cfg.f_mod - bandwidth / 2.0, cfg.f_mod + bandwidth / 2.0)
+    taps = _kaiser_bandpass(numtaps, band, beta, cfg.sample_rate)
     # The centred slice of the full convolution undoes the group delay.
-    filtered = _fft_convolve(
-        trace.samples, taps, (numtaps - 1) // 2, trace.samples.size
-    )
-    return LeakageTrace(
-        samples=filtered,
-        sample_rate=trace.sample_rate,
-        markers=trace.markers,
-        meta=dict(trace.meta),
-    )
+    return _fft_convolve(samples, taps, (numtaps - 1) // 2, samples.size)
 
 
 def check_median_window(window_samples: int, size: int) -> None:
@@ -230,20 +191,12 @@ def _iteration_events(curve: CurveParams, multiplier: str) -> EventRecorder:
     length varies with the countermeasure in use).
     """
     recorder = EventRecorder()
-    k = Scalar(1, 1)
+    base = ProjectivePoint.from_affine(*curve.generator, curve.field)
     # The fingerprint is a fixed reference, so the variant rng is pinned;
     # register randomization must not vary the template across runs.
-    if multiplier == "ladder":
-        montgomery_ladder(
-            k, curve.generator, curve, SwapVariant(SwapKind.PLAIN, rng_seed=0), recorder
-        )
-    elif multiplier == "daa":
-        base = ProjectivePoint.from_affine(*curve.generator, curve.field)
-        double_and_always_add(
-            k, base, curve, SwapVariant(SwapKind.PLAIN, rng_seed=0), recorder
-        )
-    else:
-        raise ConfigError(f"unknown multiplier {multiplier!r}")
+    traced_multiply(
+        multiplier, Scalar(1, 1), base, curve, SwapVariant(SwapKind.PLAIN, rng_seed=0), recorder
+    )
     step = EventRecorder()
     for code, leak, cond in zip(recorder.kinds, recorder.leaks, recorder.conds):
         if KIND_BY_CODE[code] not in WORD_OP_KINDS:
@@ -251,26 +204,19 @@ def _iteration_events(curve: CurveParams, multiplier: str) -> EventRecorder:
     return step
 
 
-def _pattern_template(
-    curve: CurveParams,
-    cfg: SimConfig,
-    multiplier: str,
-    band: FilterSpec | None = None,
-) -> np.ndarray:
+def _pattern_template(curve: CurveParams, cfg: SimConfig, multiplier: str) -> np.ndarray:
     """Noiseless envelope of one scalar-multiplication iteration.
 
-    Synthesizes the iteration's arithmetic events without noise.  When a
-    band is given the template passes through the same filter the trace
-    will, so both sides of the correlation carry identical smoothing.
+    Synthesizes the iteration's arithmetic events without noise and passes
+    them through the same filter the trace will, so both sides of the
+    correlation carry identical smoothing.
     """
     step = _iteration_events(curve, multiplier)
     quiet = dataclasses.replace(
         cfg, noise_sigma=0.0, interruption_prob=0.0, interference=()
     )
-    trace = synthesize(step, quiet)
-    if band is not None:
-        trace = bandpass(trace, band)
-    return rectified_envelope(trace.samples, max(3, cfg.samples_per_event // 4))
+    samples = bandpass(synthesize(step, quiet).samples, quiet)
+    return rectified_envelope(samples, max(3, cfg.samples_per_event // 4))
 
 
 def _normalized_xcorr(envelope: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -494,8 +440,7 @@ def align_swaps(
     trace: LeakageTrace,
     curve: CurveParams,
     cfg: SimConfig,
-    *,
-    multiplier: str | None = None,
+    multiplier: str,
 ) -> AlignedSwapWindows:
     """Locate every conditional swap by finding the iterations around it.
 
@@ -511,15 +456,12 @@ def align_swaps(
     enough for the room the trace has and repeat at a stable spacing;
     sparse or incoherent maxima are rejected as structureless.
     """
-    if multiplier is None:
-        multiplier = trace.meta.get("multiplier", "ladder")
-    spec = FilterSpec(center=cfg.f_mod, bandwidth=0.5 * cfg.f_mod)
-    template = _pattern_template(curve, cfg, multiplier, spec)
+    template = _pattern_template(curve, cfg, multiplier)
     if template.size > trace.samples.size:
         raise AlignmentError("trace is shorter than one iteration")
     # The band-passed trace is dropped as soon as its envelope exists.
     envelope = rectified_envelope(
-        bandpass(trace, spec).samples, max(3, cfg.samples_per_event // 4)
+        bandpass(trace.samples, cfg), max(3, cfg.samples_per_event // 4)
     )
     corr = _normalized_xcorr(envelope, template)
     width = template.size
@@ -559,9 +501,7 @@ def align_swaps(
             )
             spans.append((position + width, end))
     return AlignedSwapWindows(
-        spans=tuple(spans),
-        confidence=tuple(float(corr[p]) for p in positions),
-        detected_pattern_positions=tuple(positions),
+        spans=tuple(spans), confidence=tuple(float(corr[p]) for p in positions)
     )
 
 

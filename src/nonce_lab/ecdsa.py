@@ -24,14 +24,12 @@ from .ff_curve import (
     CurveParams,
     ProjectivePoint,
     Scalar,
-    double_and_always_add,
     fast_double_multiply,
     inverse_mod,
     montgomery_ladder,
     point_on_curve,
+    traced_multiply,
 )
-
-MULTIPLIERS = ("ladder", "daa")
 
 
 @dataclass(frozen=True)
@@ -71,21 +69,6 @@ def keygen(curve: CurveParams, rng: random.Random) -> KeyPair:
     return KeyPair(curve, d, Q)
 
 
-def _multiply_for_sign(
-    k: Scalar,
-    curve: CurveParams,
-    multiplier: str,
-    swap_impl,
-    recorder: EventRecorder | None,
-) -> ProjectivePoint:
-    if multiplier == "ladder":
-        return montgomery_ladder(k, curve.generator, curve, swap_impl, recorder)
-    if multiplier == "daa":
-        base = ProjectivePoint.from_affine(*curve.generator, curve.field)
-        return double_and_always_add(k, base, curve, swap_impl, recorder)
-    raise DomainError(f"unknown multiplier {multiplier!r}; choose from {MULTIPLIERS}")
-
-
 def sign(
     z: int,
     key: KeyPair,
@@ -105,9 +88,10 @@ def sign(
     n = curve.n
     if z < 0:
         raise DomainError("digest must be non-negative")
+    G = ProjectivePoint.from_affine(*curve.generator, curve.field)
     while True:
         k = rng.randrange(1, n)
-        R = _multiply_for_sign(Scalar.for_curve(k, curve), curve, multiplier, swap_impl, recorder)
+        R = traced_multiply(multiplier, Scalar.for_curve(k, curve), G, curve, swap_impl, recorder)
         affine = R.to_affine()
         assert affine is not None  # k in [1, n-1] cannot hit the neutral element
         r = affine[0] % n

@@ -12,6 +12,7 @@ conditional swap supplied by the caller:
 * ``double_and_always_add``: doubles and adds every iteration, then swaps
   the result register with the throwaway register under condition ``k_i``.
 
+``traced_multiply`` runs either one by its name in ``MULTIPLIERS``.
 When given an EventRecorder, the multipliers record one event per field
 operation (with the Hamming weight of the result) plus whatever the swap
 implementation emits; the simulator turns that stream into sampled traces.
@@ -818,6 +819,31 @@ def double_and_always_add(
         )
         R, T = swapped.a, swapped.b
     return ProjectivePoint(*R, curve.field)
+
+
+MULTIPLIERS = ("ladder", "daa")
+
+
+def traced_multiply(
+    multiplier: str,
+    k: Scalar,
+    base: ProjectivePoint,
+    curve: CurveParams,
+    swap_impl=None,
+    recorder: EventRecorder | None = None,
+) -> ProjectivePoint:
+    """k * base by the multiplier named in ``MULTIPLIERS``.
+
+    The ladder reads only the affine base; double-and-add runs on the
+    projective representative given, on which its events depend.
+    """
+    if multiplier == "ladder":
+        if base.is_neutral:
+            raise DomainError("the ladder needs an affine base point, not the neutral element")
+        return montgomery_ladder(k, base.to_affine(), curve, swap_impl, recorder)
+    if multiplier == "daa":
+        return double_and_always_add(k, base, curve, swap_impl, recorder)
+    raise DomainError(f"unknown multiplier {multiplier!r}; choose from {MULTIPLIERS}")
 
 
 def reference_multiply(k: int, point: ProjectivePoint, curve: CurveParams) -> ProjectivePoint:

@@ -10,9 +10,9 @@ form an exceptionally short vector, which LLL finds; the key is read off
 the reduced basis and verified against the public point before being
 reported.
 
-LLL runs a floating-point pass for the bulk of the work and exact integral
-passes to finish and to verify; the rows are exact integers throughout, and
-a returned basis has passed the exact checks (see ``lll_reduce``).
+LLL runs a floating-point pass for the bulk of the work and one exact
+integral pass to finish it; the rows are exact integers throughout, and a
+returned basis has passed the exact checks (see ``lll_reduce``).
 """
 
 from __future__ import annotations
@@ -387,12 +387,12 @@ def lll_reduce(
     """Delta-LLL-reduce the basis.
 
     A floating-point pass does the bulk of the reduction; an exact integral
-    pass at ``delta`` then finishes it, and a second exact pass must make no
-    swap, which proves the result delta-LLL-reduced whatever the floating
-    point did. The row operations are mirrored into a transform matrix;
-    before returning, the transform is checked to be unimodular and to map
-    the input rows onto the output rows, so the reduced basis provably
-    spans the same lattice.
+    pass at ``delta`` then finishes it, and that pass ends only once every
+    pair of rows meets the size and Lovasz conditions, which makes the
+    result delta-LLL-reduced whatever the floating point did. The row
+    operations are mirrored into a transform matrix; before returning, the
+    transform is checked to be unimodular and to map the input rows onto
+    the output rows, so the reduced basis provably spans the same lattice.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -405,10 +405,6 @@ def lll_reduce(
     _float_pass(rows, transform, min(_WARMUP_DELTA, float(delta)))
     _float_pass(rows, transform, float(delta))
     _reduce_pass(rows, transform, delta.numerator, delta.denominator)
-    # A clean verification pass at the target delta must not swap; it
-    # also re-establishes the Lovasz condition for every pair.
-    if _reduce_pass(rows, transform, delta.numerator, delta.denominator):
-        raise DomainError("reduction failed to reach a stable basis")
     if abs(_determinant(transform)) != 1:
         raise DomainError("row-operation audit lost unimodularity")
     for i, row in enumerate(rows):

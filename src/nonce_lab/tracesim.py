@@ -38,10 +38,9 @@ from .ff_curve import (
     CurveParams,
     ProjectivePoint,
     Scalar,
-    double_and_always_add,
     fast_multiply,
-    montgomery_ladder,
     reference_multiply,
+    traced_multiply,
 )
 from .swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
 
@@ -591,13 +590,12 @@ def _training_runs(
         recorder = EventRecorder()
         if multiplier == "ladder":
             # The ladder reads only the affine base: the untraced core serves.
-            base = fast_multiply(base_exp, curve.generator, curve).to_affine()
-            montgomery_ladder(nonce, base, curve, variant_inst, recorder)
+            base = fast_multiply(base_exp, curve.generator, curve)
         else:
             # Double-and-add's events depend on this projective representative.
             generator = ProjectivePoint.from_affine(*curve.generator, curve.field)
             base = reference_multiply(base_exp, generator, curve)
-            double_and_always_add(nonce, base, curve, variant_inst, recorder)
+        traced_multiply(multiplier, nonce, base, curve, variant_inst, recorder)
         yield recorder
 
 

@@ -128,8 +128,8 @@ def test_ladder_step_fingerprint_is_detected():
     envelope = rectified_envelope(step_trace.samples, max(3, cfg.samples_per_event // 4))
     groups = step_peak_groups(envelope, cfg.samples_per_event)
     assert groups == list(LADDER_STEP_MUL_GROUPS)
-    aligned = align_swaps(step_trace, toy, cfg)
-    assert len(aligned.detected_pattern_positions) == 1
+    aligned = align_swaps(step_trace, toy, cfg, "ladder")
+    assert len(aligned) == 1
 
     recorder = EventRecorder()
     montgomery_ladder(
@@ -140,8 +140,8 @@ def test_ladder_step_fingerprint_is_detected():
         recorder,
     )
     full_trace = synthesize(recorder, cfg, meta={"multiplier": "ladder"})
-    aligned = align_swaps(full_trace, toy, cfg)
-    assert len(aligned.detected_pattern_positions) == toy.n.bit_length()
+    aligned = align_swaps(full_trace, toy, cfg, "ladder")
+    assert len(aligned) == toy.n.bit_length()
 
 
 def test_leakage_assessment_verdicts():
@@ -291,8 +291,8 @@ def test_full_attack_recovers_key(tmp_path):
         window_hits += int(np.sum(guesses == [w.cond for w in truth]))
         window_total += len(truth)
 
-        aligned = align_swaps(trace, curve, trace_cfg)
-        estimate = recover_nonce_bits(trace, model, aligned)
+        aligned = align_swaps(trace, curve, trace_cfg, "ladder")
+        estimate = recover_nonce_bits(trace, model, aligned, "ladder")
         conds_ok = sum(g == w.cond for g, w in zip(estimate.conds, truth))
         scores.append(conds_ok)
         if estimate.value == nonce.k.value:

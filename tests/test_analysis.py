@@ -25,7 +25,7 @@ from nonce_lab.analysis import (
     write_model,
 )
 from nonce_lab.dsp import align_swaps, rectified_envelope
-from nonce_lab.errors import AlignmentError, ConfigError, DomainError, StatError
+from nonce_lab.errors import AlignmentError, ConfigError, DomainError, NonceLabError, StatError
 from nonce_lab.events import EventRecorder
 from nonce_lab.ff_curve import ProjectivePoint, Scalar, double_and_always_add, montgomery_ladder
 from nonce_lab.swap_impls import SwapKind, SwapVariant
@@ -34,6 +34,7 @@ from nonce_lab.tracesim import (
     TraceSet,
     generate_swap_windows,
     generate_training_set,
+    generate_training_windows,
     swap_windows,
     synthesize,
 )
@@ -486,8 +487,8 @@ def test_recover_nonce_bits_from_noiseless_ladder(toy):
     model = fit_swap_classifier(harvest_swap_windows(train), cfg)
     k = 65550
     trace = attack_trace(toy, k, cfg)
-    aligned = align_swaps(trace, toy, cfg)
-    estimate = recover_nonce_bits(trace, model, aligned)
+    aligned = align_swaps(trace, toy, cfg, "ladder")
+    estimate = recover_nonce_bits(trace, model, aligned, "ladder")
     assert estimate.value == k
     assert len(estimate.bits) == toy.n.bit_length()
     confidence = np.where(
@@ -517,8 +518,8 @@ def test_recover_nonce_bits_from_noiseless_daa(toy):
         np.random.default_rng(55),
         meta={"curve": toy.name, "multiplier": "daa"},
     )
-    aligned = align_swaps(trace, toy, cfg)
-    estimate = recover_nonce_bits(trace, model, aligned)
+    aligned = align_swaps(trace, toy, cfg, "daa")
+    estimate = recover_nonce_bits(trace, model, aligned, "daa")
     assert estimate.value == k
     assert estimate.bits == estimate.conds
 
@@ -538,11 +539,27 @@ def test_recover_nonce_bits_matches_per_window_oracle(toy, multiplier, mode):
     )
     for seed, k in enumerate((0x51F3, 65550, 3)):
         trace = attack_trace(toy, k, cfg, multiplier, seed=seed)
-        aligned = align_swaps(trace, toy, cfg)
-        estimate = recover_nonce_bits(trace, model, aligned)
+        aligned = align_swaps(trace, toy, cfg, multiplier)
+        estimate = recover_nonce_bits(trace, model, aligned, multiplier)
         conds, probabilities = per_window_estimate(trace, model, aligned, multiplier)
         assert list(estimate.conds) == conds
         assert np.abs(estimate.probabilities - probabilities).max() <= 1e-12
+
+
+def test_unknown_multiplier_is_rejected(toy):
+    cfg = SimConfig(noise_sigma=0.0)
+    trace = attack_trace(toy, 65550, cfg)
+    with pytest.raises(NonceLabError):
+        align_swaps(trace, toy, cfg, "window")
+    with pytest.raises(NonceLabError):
+        generate_training_windows(toy, SwapKind.PLAIN, 2, cfg, multiplier="window")
+    aligned = align_swaps(trace, toy, cfg, "ladder")
+    model = TemplateModel(
+        poi=[0], mean0=[0.0], mean1=[1.0], cov=[1.0], mode="diag",
+        trained_on={"feature_length": "80", "median_samples": "16"},
+    )
+    with pytest.raises(ConfigError):
+        recover_nonce_bits(trace, model, aligned, "window")
 
 
 def test_recover_rejects_empty_windows(toy):
@@ -558,9 +575,7 @@ def test_recover_rejects_empty_windows(toy):
     trace = attack_trace(toy, 65550, cfg)
     from nonce_lab.dsp import AlignedSwapWindows
 
-    empty = AlignedSwapWindows(
-        spans=(), confidence=(), detected_pattern_positions=()
-    )
+    empty = AlignedSwapWindows(spans=(), confidence=())
     with pytest.raises(AlignmentError):
-        recover_nonce_bits(trace, model, empty)
+        recover_nonce_bits(trace, model, empty, "ladder")
 

@@ -77,6 +77,62 @@ def toy_sim_config(tmp_path):
     )
 
 
+ECHOED_CONFIG = """\
+{
+  "activity_floor": 4.0,
+  "baseline": 1.0,
+  "command": "keygen",
+  "count": 200,
+  "curve": "toy16",
+  "digest": null,
+  "f_cpu": 1800000.0,
+  "grid_error_rates": [
+    0.0,
+    0.05
+  ],
+  "grid_leak_bits": [
+    8,
+    10
+  ],
+  "grid_signatures": [
+    3
+  ],
+  "interference": [
+    [
+      0.3,
+      0.1,
+      5.0
+    ],
+    [
+      0.5,
+      0.25,
+      2.0
+    ]
+  ],
+  "interruption_prob": 0.0,
+  "jobs": null,
+  "leak_bits": null,
+  "max_tries": 20,
+  "multiplier": "ladder",
+  "noise_sigma": 2.0,
+  "out": "run",
+  "poi_count": 64,
+  "sample_rate": 2500000.0,
+  "samples_per_event": 64,
+  "seed": 3,
+  "shape": "windows",
+  "snr_scale": 0.25,
+  "strategy": "direct",
+  "template_mode": "diag",
+  "train_count": 8,
+  "trials": 100,
+  "variant": "plain",
+  "version": "0.1.0",
+  "word_count": 1
+}
+"""
+
+
 class TestConfigResolution:
     def parse(self, *argv):
         return build_parser().parse_args([str(a) for a in argv])
@@ -102,6 +158,17 @@ class TestConfigResolution:
             assert isinstance(pool, cli._InlineExecutor) is inline
             assert pool.submit(sum, (1, 2)).result() == 3
         assert multiprocessing.active_children() == []
+
+    def test_config_echo_is_byte_stable(self, tmp_path, monkeypatch):
+        # Tuples (bursts, grid axes) are written as JSON arrays.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path / "c.json", curve="toy16",
+            interference=[[0.3, 0.1, 5.0], [0.5, 0.25, 2]],
+            grid_leak_bits=[8, 10], grid_signatures=[3], grid_error_rates=[0.0, 0.05],
+        )
+        assert run_cli("keygen", "--config", cfg, "--seed", 3, "--out", "run") == 0
+        assert (tmp_path / "run/config.json").read_text() == ECHOED_CONFIG
 
     def test_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", curve="toy16", seed=11, count=5)
@@ -180,7 +247,8 @@ def test_unpicklable_task_raises_and_joins_the_workers():
         "import multiprocessing, pickle\n"
         "from nonce_lab import cli\n"
         "try:\n"
-        "    cli._run_chunks(abs, [lambda: 1, lambda: 2, 3], 2)\n"
+        "    with cli._executor(2, 3) as pool:\n"
+        "        list(pool.map(abs, [lambda: 1, lambda: 2, 3]))\n"
         "except pickle.PicklingError:\n"
         "    print('raised', multiprocessing.active_children())\n"
     )
@@ -269,9 +337,9 @@ class TestSimulatePipeline:
         assert len(lines) == 81
 
     @pytest.mark.parametrize("shape", ["windows", "scalars"])
-    def test_simulate_defaults_to_one_process(self, tmp_path, toy_sim_config, monkeypatch, shape):
+    def test_simulate_starts_no_process_pool(self, tmp_path, toy_sim_config, monkeypatch, shape):
         # Its traces take about as long to pickle back from a worker as
-        # to make, so only --jobs starts a pool.
+        # to make, so it runs in this process at any --jobs.
         def no_pool(*args, **kwargs):
             raise AssertionError("simulate started a process pool")
 
@@ -281,8 +349,38 @@ class TestSimulatePipeline:
             argv += ["--count", 8]
         assert run_cli("simulate", *argv, "--out", tmp_path / "s") == 0
         assert b'"jobs": null' in (tmp_path / "s/config.json").read_bytes()
-        with pytest.raises(AssertionError, match="process pool"):
-            run_cli("simulate", *argv, "--jobs", 2, "--out", tmp_path / "two")
+        assert run_cli("simulate", *argv, "--jobs", 2, "--out", tmp_path / "two") == 0
+
+    @pytest.mark.parametrize("command", ["assess", "train", "classify"])
+    @pytest.mark.parametrize("labels", [None, "trace_index,swap_index,cond,interfered\n"])
+    def test_window_campaign_without_labels_is_input_error(
+        self, tmp_path, toy_sim_config, capsys, command, labels
+    ):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--config", toy_sim_config, "--curve", "toy16", "--out", sim) == 0
+        sidecar = labels_path(sim / "traces.trc")
+        if labels is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_text(labels)
+        capsys.readouterr()
+        argv = ["--traces", sim / "traces.trc", "--out", tmp_path / command]
+        if command == "classify":
+            argv += ["--model", tmp_path / "model.tmpl"]
+        assert run_cli(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: input: {sim / 'traces.trc'}: no labels; {sidecar} is missing or empty\n"
+
+    def test_full_scalar_file_is_config_error(self, tmp_path, toy_sim_config, capsys):
+        sim = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--config", toy_sim_config, "--curve", "toy16",
+            "--shape", "scalars", "--count", 2, "--out", sim,
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("assess", "--traces", sim / "traces.trc", "--out", tmp_path / "a") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "full-scalar" in err, err
 
     def test_simulate_byte_identical_across_jobs(self, tmp_path, toy_sim_config):
         for name, jobs in (("one", 1), ("two", 2)):
@@ -477,6 +575,26 @@ class TestAttack:
         assert (again / "summary.json").read_bytes() == (
             first / "summary.json"
         ).read_bytes()
+
+    def test_model_for_another_curve_is_config_error(self, tmp_path, capsys):
+        cfg = self.attack_config(tmp_path)
+        first = tmp_path / "first"
+        assert run_cli("attack", "--config", cfg, "--out", first) == 0
+        model = first / "model.tmpl"
+        capsys.readouterr()
+        assert run_cli(
+            "attack", "--config", cfg, "--curve", "secp128r1", "--model", model,
+            "--out", tmp_path / "p128",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config: {model}: model was trained on toy16, not secp128r1\n"
+        # A model that names no curve, as ``train`` writes them, is taken.
+        fitted = read_model(model)
+        del fitted.trained_on["curve"]
+        write_model(fitted, model)
+        assert run_cli(
+            "attack", "--config", cfg, "--model", model, "--out", tmp_path / "again"
+        ) == 0
 
     def test_attack_survives_one_class_training_draw(self, tmp_path):
         # All eight training draws at this seed pick the mostly-swap

@@ -11,7 +11,6 @@ from nonce_lab import dsp
 from nonce_lab.cli import _sim_config, build_parser, derive_seed, resolve_config
 from nonce_lab.dsp import (
     _FFT_BLOCK,
-    FilterSpec,
     _fft_convolve,
     _iteration_events,
     _kaiser_bandpass,
@@ -54,14 +53,8 @@ from oracles import (
 CENTER = SimConfig().f_mod
 
 
-def tone_trace(freq, n=16384, fs=2.5e6, amplitude=1.0):
-    t = np.arange(n) / fs
-    return LeakageTrace(
-        samples=amplitude * np.cos(2.0 * np.pi * freq * t),
-        sample_rate=fs,
-        markers=MarkerTable.empty(),
-        meta={},
-    )
+def tone(freq, n=16384, fs=2.5e6):
+    return np.cos(2.0 * np.pi * freq * np.arange(n) / fs)
 
 
 def array_trace(samples, fs=2.5e6):
@@ -94,32 +87,25 @@ def central_rms(x, fraction=0.5):
     return float(np.sqrt(np.mean(x[lo : n - lo] ** 2)))
 
 
-def test_filter_spec_validation():
-    with pytest.raises(ConfigError):
-        FilterSpec(center=1e4, bandwidth=3e4)
-    with pytest.raises(ConfigError):
-        bandpass(tone_trace(1e5), FilterSpec(center=1.2e6, bandwidth=2e5))
-
-
 def test_bandpass_preserves_center_tone():
-    spec = FilterSpec(center=CENTER, bandwidth=0.5 * CENTER)
-    trace = tone_trace(CENTER)
-    out = bandpass(trace, spec)
-    ratio = central_rms(out.samples) / central_rms(trace.samples)
+    samples = tone(CENTER)
+    ratio = central_rms(bandpass(samples, SimConfig())) / central_rms(samples)
     assert 10 ** (-1 / 20) < ratio < 10 ** (1 / 20)
 
 
 def test_bandpass_rejects_out_of_band_tone():
-    spec = FilterSpec(center=CENTER, bandwidth=0.5 * CENTER)
-    trace = tone_trace(2.0 * CENTER)
-    out = bandpass(trace, spec)
-    assert central_rms(out.samples) < 0.01 * central_rms(trace.samples)
+    samples = tone(2.0 * CENTER)
+    assert central_rms(bandpass(samples, SimConfig())) < 0.01 * central_rms(samples)
 
 
 def test_bandpass_of_silence_is_silence():
-    spec = FilterSpec(center=CENTER, bandwidth=0.5 * CENTER)
-    out = bandpass(array_trace(np.zeros(4096)), spec)
-    assert np.all(out.samples == 0.0)
+    out = bandpass(np.zeros(4096), SimConfig())
+    assert np.all(out == 0.0)
+
+
+def test_bandpass_rejects_a_trace_shorter_than_its_taps():
+    with pytest.raises(ConfigError, match="too short"):
+        bandpass(np.zeros(64), SimConfig())
 
 
 @pytest.mark.parametrize("relative_bandwidth", [0.25, 0.5, 1.0])
@@ -139,8 +125,12 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
     assert _kaiser_bandpass(numtaps, band, beta, fs).tobytes() == taps.tobytes()
 
     noise = np.random.default_rng(numtaps).normal(size=8192)
-    filtered = bandpass(array_trace(noise, fs), FilterSpec(CENTER, bandwidth)).samples
+    filtered = _fft_convolve(
+        noise, _kaiser_bandpass(numtaps, band, beta, fs), (numtaps - 1) // 2, noise.size
+    )
     assert filtered.tobytes() == scipy_bandpass(noise, fs, CENTER, bandwidth).tobytes()
+    if relative_bandwidth == 0.5:  # the pipeline's band
+        assert bandpass(noise, SimConfig(sample_rate=fs)).tobytes() == filtered.tobytes()
     envelope = rectified_envelope(filtered, 16)
     template = envelope[1000 : 1000 + numtaps]
     assert (
@@ -218,11 +208,10 @@ def attack_capture(curve, seed, noise_sigma):
 def test_blocked_alignment_matches_full_length_convolution(monkeypatch, p521, noise_sigma, seed):
     trace, cfg = attack_capture(p521, seed, noise_sigma)
     assert trace.samples.size > 60 * _FFT_BLOCK
-    blocked = align_swaps(trace, p521, cfg)
+    blocked = align_swaps(trace, p521, cfg, "ladder")
     monkeypatch.setattr(dsp, "_fft_convolve", full_fft_convolve)
-    full = align_swaps(trace, p521, cfg)
+    full = align_swaps(trace, p521, cfg, "ladder")
     assert blocked.spans == full.spans
-    assert blocked.detected_pattern_positions == full.detected_pattern_positions
     assert np.abs(np.subtract(blocked.confidence, full.confidence)).max() <= 1e-9
 
 
@@ -272,7 +261,7 @@ def test_rectify_median_window_bounds():
 def test_align_clean_ladder_matches_ground_truth(toy):
     cfg = SimConfig(noise_sigma=0.0)
     trace = scalar_mult_trace(toy, 0x51F3, cfg)
-    aligned = align_swaps(trace, toy, cfg)
+    aligned = align_swaps(trace, toy, cfg, "ladder")
     truth = swap_windows(trace)
     assert len(aligned) == toy.n.bit_length() == len(truth)
     for (start, end), window in zip(aligned.spans, truth):
@@ -284,7 +273,7 @@ def test_align_clean_ladder_matches_ground_truth(toy):
 def test_align_clean_daa_matches_ground_truth(toy):
     cfg = SimConfig(noise_sigma=0.0)
     trace = scalar_mult_trace(toy, 0x9C31, cfg, multiplier="daa")
-    aligned = align_swaps(trace, toy, cfg)
+    aligned = align_swaps(trace, toy, cfg, "daa")
     truth = swap_windows(trace)
     assert len(aligned) == toy.n.bit_length() == len(truth)
     for (start, end), window in zip(aligned.spans, truth):
@@ -295,7 +284,7 @@ def test_align_clean_daa_matches_ground_truth(toy):
 def test_align_wide_curve_ladder(p128):
     cfg = SimConfig(noise_sigma=0.0)
     trace = scalar_mult_trace(p128, 0xDEADBEEF12345678ABCDEF99, cfg)
-    aligned = align_swaps(trace, p128, cfg)
+    aligned = align_swaps(trace, p128, cfg, "ladder")
     truth = swap_windows(trace)
     assert len(aligned) == p128.n.bit_length()
     for (start, end), window in zip(aligned.spans, truth):
@@ -306,7 +295,7 @@ def test_align_wide_curve_ladder(p128):
 def test_align_survives_default_noise(toy):
     cfg = SimConfig(seed=21)
     trace = scalar_mult_trace(toy, 0x51F3, cfg)
-    aligned = align_swaps(trace, toy, cfg)
+    aligned = align_swaps(trace, toy, cfg, "ladder")
     truth = swap_windows(trace)
     assert len(aligned) == len(truth)
     for (start, end), window in zip(aligned.spans, truth):
@@ -318,7 +307,7 @@ def test_align_survives_default_noise(toy):
 def test_align_tolerates_interruption(toy, seed):
     cfg = SimConfig(noise_sigma=0.0, interruption_prob=1.0, seed=seed)
     trace = scalar_mult_trace(toy, 0x51F3, cfg)
-    aligned = align_swaps(trace, toy, cfg)
+    aligned = align_swaps(trace, toy, cfg, "ladder")
     assert len(aligned) == toy.n.bit_length()
 
 
@@ -360,14 +349,14 @@ def test_align_rejects_pure_noise(toy):
     rng = np.random.default_rng(8)
     trace = array_trace(rng.normal(0.0, 2.0, 40000))
     with pytest.raises(AlignmentError):
-        align_swaps(trace, toy, SimConfig())
+        align_swaps(trace, toy, SimConfig(), "ladder")
 
 
 def test_align_single_step_and_peak_groups(toy):
     cfg = SimConfig(noise_sigma=0.0)
     trace = synthesize(_iteration_events(toy, "ladder"), cfg)
-    aligned = align_swaps(trace, toy, cfg)
-    assert len(aligned.detected_pattern_positions) == 1
+    aligned = align_swaps(trace, toy, cfg, "ladder")
+    assert len(aligned) == 1
     envelope = rectified_envelope(trace.samples, 16)
     assert step_peak_groups(envelope, cfg.samples_per_event) == [5, 2, 1, 2, 3, 1, 3, 3]
 
@@ -375,7 +364,7 @@ def test_align_single_step_and_peak_groups(toy):
 def test_windows_csv_is_deterministic(tmp_path, toy):
     cfg = SimConfig(noise_sigma=0.0)
     trace = scalar_mult_trace(toy, 0x51F3, cfg)
-    aligned = align_swaps(trace, toy, cfg)
+    aligned = align_swaps(trace, toy, cfg, "ladder")
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_windows_csv(aligned, first)
     write_windows_csv(aligned, second)

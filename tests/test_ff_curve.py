@@ -26,6 +26,7 @@ from nonce_lab.ff_curve import (
     montgomery_ladder,
     point_on_curve,
     reference_multiply,
+    traced_multiply,
 )
 from nonce_lab.swap_impls import SwapKind, SwapVariant
 
@@ -499,6 +500,34 @@ def test_daa_swap_conditions_are_bits(toy):
     double_and_always_add(Scalar(k, 16), G, toy, SwapVariant(SwapKind.PLAIN), rec)
     conds = mask_conds(rec)
     assert conds == [(k >> i) & 1 for i in range(15, -1, -1)]
+
+
+@pytest.mark.parametrize("curve_name", ["toy16", "secp128r1"])
+@pytest.mark.parametrize("kind", list(SwapKind))
+def test_traced_multiply_matches_direct_calls(curve_name, kind):
+    """The named entry point records the events of calling each
+    multiplier itself: the ladder on the affine base, double-and-add on
+    the projective representative given (here not Z = 1)."""
+    curve = get_curve(curve_name)
+    rng = random.Random(f"{curve_name}:{kind.value}")
+    k = Scalar.for_curve(rng.randrange(1, curve.n), curve)
+    x, y = fast_multiply(rng.randrange(2, curve.n), curve.generator, curve).to_affine()
+    lam = rng.randrange(2, curve.p)
+    base = ProjectivePoint(x * lam % curve.p, y * lam % curve.p, lam, curve.field)
+    seed = rng.getrandbits(32)
+    direct = {
+        "ladder": lambda variant, rec: montgomery_ladder(k, (x, y), curve, variant, rec),
+        "daa": lambda variant, rec: double_and_always_add(k, base, curve, variant, rec),
+    }
+    for multiplier, run in direct.items():
+        via, alone = EventRecorder(), EventRecorder()
+        got = traced_multiply(multiplier, k, base, curve, SwapVariant(kind, rng_seed=seed), via)
+        want = run(SwapVariant(kind, rng_seed=seed), alone)
+        assert got.triple() == want.triple(), multiplier
+        assert (via.kinds, via.leaks, via.conds) == (alone.kinds, alone.leaks, alone.conds)
+        assert len(via) > 0
+    with pytest.raises(DomainError):
+        traced_multiply("ladder", k, ProjectivePoint.neutral(curve.field), curve)
 
 
 def test_reference_multiply_accepts_zero(toy):
