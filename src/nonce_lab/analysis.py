@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .dsp import AlignedSwapWindows, check_median_window, rectified_envelope
 from .errors import AlignmentError, ConfigError, DomainError, StatError
@@ -39,7 +38,7 @@ LEAK_THRESHOLD = 4.5
 # equal means then give t = 0 instead of 0/0.
 _VARIANCE_FLOOR = 1e-30
 
-_ENVELOPE_BLOCK_ROWS = 256  # rows per median-filter call in feature_matrix
+_ENVELOPE_BLOCK_ROWS = 256  # rows per rectified_envelope call in feature_matrix
 
 # Ridge added to the pooled covariance, as a fraction of its mean
 # variance, so regularization scales with the signal.
@@ -206,7 +205,7 @@ class TemplateModel:
     cov: np.ndarray
     mode: str
     trained_on: dict[str, str] = field(default_factory=dict)
-    _chol: tuple | None = field(default=None, init=False, repr=False)
+    _chol: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.poi = np.asarray(self.poi, dtype=np.int64)
@@ -233,8 +232,8 @@ class TemplateModel:
             if not np.allclose(self.cov, self.cov.T, rtol=1e-9, atol=0.0):
                 raise StatError("covariance must be symmetric")
             try:
-                self._chol = linalg.cho_factor(self.cov)
-            except linalg.LinAlgError as exc:
+                self._chol = np.linalg.cholesky(self.cov)
+            except np.linalg.LinAlgError as exc:
                 raise StatError(
                     "covariance is singular after regularization"
                 ) from exc
@@ -245,8 +244,9 @@ class TemplateModel:
         """Quadratic forms delta' C^-1 delta, one per row."""
         if self.mode == "diag":
             return np.sum(deltas**2 / self.cov, axis=-1)
-        solved = linalg.cho_solve(self._chol, deltas.T).T
-        return np.sum(deltas * solved, axis=-1)
+        # With C = L L', each form is |L^-1 delta|^2.
+        whitened = np.linalg.solve(self._chol, deltas.T)
+        return np.sum(whitened * whitened, axis=0)
 
 
 def fit_templates(

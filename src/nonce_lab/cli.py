@@ -21,6 +21,10 @@ worker, and only the features come back, in a file in a temporary
 directory that the attack removes.  Wall-clock measurements never enter
 CSV or trace files; timing goes to a separate ``timing.txt``.
 
+Only the commands that handle traces import numpy and the signal
+chain, inside the command: ``keygen``, ``sign``, ``verify``, ``recover``
+and ``experiment`` run on integer arithmetic and start without them.
+
 Exit codes: 0 on success, 1 for configuration or input problems, 2 when
 the analysis itself fails (alignment, recovery, failed verification).
 Errors print one line to standard error: ``error: <kind>: <message>``.
@@ -42,23 +46,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    LEAK_THRESHOLD,
-    classify_batch,
-    export_t_csv,
-    feature_matrix,
-    fit_swap_classifier,
-    fit_swap_features,
-    read_model,
-    recover_nonce_bits,
-    swap_features,
-    welch_t,
-    write_model,
-)
-from .dsp import align_swaps, write_windows_csv
 from .ecdsa import (
     keygen,
     parse_hex,
@@ -87,19 +75,8 @@ from .recover import (
     run_experiment,
     write_results_csv,
 )
+from .simconfig import SimConfig
 from .swap_impls import SwapKind, SwapVariant
-from .tracesim import (
-    SimConfig,
-    TraceSet,
-    generate_swap_windows,
-    generate_training_set,
-    generate_training_windows,
-    labels_path,
-    read_trace_set,
-    swap_windows,
-    synthesize,
-    write_trace_set,
-)
 
 _VARIANTS = tuple(kind.value for kind in SwapKind)
 
@@ -264,7 +241,11 @@ def _out_dir(rc: RunConfig, command: str) -> Path:
     return out
 
 
-def _merge_sets(parts: Sequence[TraceSet]) -> TraceSet:
+def _merge_sets(parts):
+    import numpy as np
+
+    from .tracesim import TraceSet
+
     traces = [trace for part in parts for trace in part.traces]
     labels = np.vstack([part.labels for part in parts])
     return TraceSet(traces, labels, np.vstack([part.interfered for part in parts]))
@@ -305,6 +286,8 @@ def _executor(jobs: int | None, tasks: int):
 
 
 def _windows_tasks(rc: RunConfig, seed: int) -> list:
+    import numpy as np
+
     # Exactly balanced classes in seed-derived order, cut into chunks of
     # fixed size, each rendered under its own derived seed.
     conds = np.repeat([0, 1], [(rc.count + 1) // 2, rc.count // 2])
@@ -326,7 +309,10 @@ def _scalars_tasks(rc: RunConfig, seed: int, count: int) -> list:
     return tasks
 
 
-def _window_level(trace_set: TraceSet, source: str) -> TraceSet:
+def _window_level(source: str):
+    from .tracesim import labels_path, read_trace_set
+
+    trace_set = read_trace_set(source)
     if trace_set.labels.shape[1] == 1:
         return trace_set
     if trace_set.labels.shape[1] == 0:
@@ -393,6 +379,8 @@ def cmd_verify(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(rc: RunConfig, args: argparse.Namespace) -> int:
+    from .tracesim import generate_swap_windows, generate_training_set, write_trace_set
+
     out = _out_dir(rc, "simulate")
     seed = derive_seed(rc.seed, "simulate")
     if rc.shape == "windows":
@@ -412,8 +400,10 @@ def cmd_simulate(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_assess(rc: RunConfig, args: argparse.Namespace) -> int:
+    from .analysis import LEAK_THRESHOLD, export_t_csv, welch_t
+
     out = _out_dir(rc, "assess")
-    trace_set = _window_level(read_trace_set(args.traces), args.traces)
+    trace_set = _window_level(args.traces)
     result = welch_t(trace_set, trace_set.labels[:, 0])
     export_t_csv(result, out / "tvla.csv")
     verdict = "LEAKING" if result.max_abs_t > LEAK_THRESHOLD else "PASS"
@@ -425,8 +415,10 @@ def cmd_assess(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
+    from .analysis import fit_swap_classifier, write_model
+
     out = _out_dir(rc, "train")
-    trace_set = _window_level(read_trace_set(args.traces), args.traces)
+    trace_set = _window_level(args.traces)
     cfg = _sim_config(rc, 0)
     model = fit_swap_classifier(
         trace_set, cfg, poi_count=rc.poi_count, mode=rc.template_mode
@@ -440,8 +432,12 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .analysis import classify_batch, feature_matrix, read_model
+
     out = _out_dir(rc, "classify")
-    trace_set = _window_level(read_trace_set(args.traces), args.traces)
+    trace_set = _window_level(args.traces)
     model = read_model(args.model)
     median = int(model.trained_on.get("median_samples", "0"))
     if median < 3:
@@ -459,7 +455,12 @@ def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _training_chunk(task, path: Path) -> tuple[Path, np.ndarray, dict[str, str]]:
+def _training_chunk(task, path: Path):
+    import numpy as np
+
+    from .analysis import swap_features
+    from .tracesim import generate_training_windows
+
     # Only the swap windows of the profiling runs are rendered, and only
     # their features leave the worker.  They go through a file: the pool's
     # pipe would hand the 11 MB to the capturing process in 64 KiB reads,
@@ -471,7 +472,7 @@ def _training_chunk(task, path: Path) -> tuple[Path, np.ndarray, dict[str, str]]
     )
     features, labels, trained_on = swap_features(*windows, cfg)
     np.save(path, features)
-    return path, labels, trained_on
+    return path, labels, features.shape[1], trained_on
 
 
 def _fit_for_attack(
@@ -479,34 +480,44 @@ def _fit_for_attack(
 ):
     """Fit the attack's model from its training chunks' features, joined
     in chunk order, so the model is the same at any ``jobs``."""
+    import numpy as np
+
+    from .analysis import fit_swap_features
+
     parts = [chunk.result() for chunk in chunks]
     labels = np.concatenate([part[1] for part in parts])
     # Each training trace draws the mostly-swap or the mostly-hold nonce;
     # the ladder's mostly-swap nonce yields only cond = 1 windows, so when
     # every draw picks it one class is empty.  Further chunks under their
-    # own seeds are added until both classes can be fitted.
+    # own seeds are added until both classes can be fitted: 2 windows
+    # each for diagonal templates, 10 per poi (at most one per sample)
+    # for a full covariance.
+    needed = 2 if rc.template_mode == "diag" else 10 * min(rc.poi_count, parts[0][2])
     extra = 0
-    while np.bincount(labels, minlength=2).min() < 2:
+    while np.bincount(labels, minlength=2).min() < needed:
         (task,) = _scalars_tasks(rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK)
         parts.append(pool.submit(_training_chunk, task, spool / f"extra-{extra}.npy").result())
         labels = np.concatenate((labels, parts[-1][1]))
         extra += 1
     # Each chunk's block is read from its file straight into its rows.
-    features, lo = None, 0
-    for path, _, _ in parts:
+    features, lo = np.empty((labels.size, parts[0][2])), 0
+    for path, *_ in parts:
         with open(path, "rb") as fh:
             np.lib.format.read_magic(fh)
-            (count, width), _, _ = np.lib.format.read_array_header_1_0(fh)
-            if features is None:
-                features = np.empty((labels.size, width))
+            (count, _), _, _ = np.lib.format.read_array_header_1_0(fh)
             fh.readinto(features[lo : lo + count])
         lo += count
     return fit_swap_features(
-        features, labels, parts[0][2], poi_count=rc.poi_count, mode=rc.template_mode
+        features, labels, parts[0][3], poi_count=rc.poi_count, mode=rc.template_mode
     )
 
 
 def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
+    # Imported before the pool forks, so no worker imports them again.
+    from .analysis import read_model, recover_nonce_bits, write_model
+    from .dsp import align_swaps, write_windows_csv
+    from .tracesim import TraceSet, swap_windows, synthesize, write_trace_set
+
     out = _out_dir(rc, "attack")
     curve = get_curve(rc.curve)
     seed = rc.seed

@@ -6,13 +6,15 @@ the envelope against the ladder-step fingerprint to locate every
 scalar-multiplication iteration.  The gaps
 between consecutive iterations are exactly the conditional swaps.
 
-The Kaiser band-pass design is a small port of ``scipy.signal`` that
-reproduces its taps bit for bit.  Both filters run through one FFT
-convolution, overlap-add over blocks of ``_FFT_BLOCK`` points, so a
-million-sample capture never needs a full-length spectrum; inputs that
-fit in one block get ``scipy.signal.fftconvolve``'s bits.  Importing
-``scipy.signal`` (and ``scipy.stats`` behind it) took longer than the
-filtering it was used for, on every process start.
+Everything here runs on numpy alone.  The Kaiser band-pass design ports
+``scipy.signal``'s ``kaiserord`` and ``firwin``, with the Cephes Bessel
+function ``i0`` that ``scipy.special`` also uses, and reproduces their
+taps bit for bit.  Both filters run through one FFT convolution,
+overlap-add over blocks of ``_FFT_BLOCK`` points, so a million-sample
+capture never needs a full-length spectrum; inputs that fit in one
+block get ``scipy.signal.fftconvolve``'s bits.  The envelope's sliding
+median is a selection, so it equals ``scipy.ndimage.median_filter``
+exactly.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage, special
-from scipy.fft import irfftn, next_fast_len, rfftn
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ConfigError, DomainError
 from .events import KIND_BY_CODE, WORD_OP_KINDS, EventRecorder
@@ -44,6 +45,34 @@ _SEED_CORR_FLOOR = 0.35
 _SEED_CORR_CEILING = 0.6
 # FFT length of one overlap-add block in _fft_convolve.
 _FFT_BLOCK = 1 << 14
+# Window pairs per sort in rectified_envelope.
+_MEDIAN_BLOCK = 1 << 12
+
+# Chebyshev coefficients of exp(-x) i0(x) on [0, 8] and of
+# exp(-x) sqrt(x) i0(x) on (8, inf), in x/2 - 2 and 32/x - 2 (Cephes i0.c).
+_I0_A = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17, -2.43127984654795469359e-16,
+    1.71539128555513303061e-15, -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12, -1.72682629144155570723e-11,
+    9.67580903537323691224e-11, -5.18979560163526290666e-10, 2.65982372468238665035e-9,
+    -1.30002500998624804212e-8, 6.04699502254191894932e-8, -2.67079385394061173391e-7,
+    1.11738753912010371815e-6, -4.41673835845875056359e-6, 1.64484480707288970893e-5,
+    -5.75419501008210370398e-5, 1.88502885095841655729e-4, -5.76375574538582365885e-4,
+    1.63947561694133579842e-3, -4.32430999505057594430e-3, 1.05464603945949983183e-2,
+    -2.37374148058994688156e-2, 4.93052842396707084878e-2, -9.49010970480476444210e-2,
+    1.71620901522208775349e-1, -3.04682672343198398683e-1, 6.76795274409476084995e-1,
+)
+_I0_B = (
+    -7.23318048787475395456e-18, -4.83050448594418207126e-18, 4.46562142029675999901e-17,
+    3.46122286769746109310e-17, -2.82762398051658348494e-16, -3.42548561967721913462e-16,
+    1.77256013305652638360e-15, 3.81168066935262242075e-15, -9.55484669882830764870e-15,
+    -4.15056934728722208663e-14, 1.54008621752140982691e-14, 3.85277838274214270114e-13,
+    7.18012445138366623367e-13, -1.79417853150680611778e-12, -1.32158118404477131188e-11,
+    -3.14991652796324136454e-11, 1.18891471078464383424e-11, 4.94060238822496958910e-10,
+    3.39623202570838634515e-9, 2.26666899049817806459e-8, 2.04891858946906374183e-7,
+    2.89137052083475648297e-6, 6.88975834691682398426e-5, 3.36911647825569408990e-3,
+    8.04490411014108831608e-1,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +93,40 @@ class AlignedSwapWindows:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+
+def _chbevl(x: float, coefficients: tuple[float, ...]) -> float:
+    """Clenshaw sum of a Chebyshev series, Cephes' ``chbevl``."""
+    b0, b1, b2 = coefficients[0], 0.0, 0.0
+    for c in coefficients[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0(x: float) -> float:
+    """Modified Bessel function of order 0, Cephes' ``i0`` step for step,
+    so it carries ``scipy.special.i0``'s bits (``np.i0`` may differ by an
+    ulp)."""
+    x = abs(x)
+    if x <= 8.0:
+        return math.exp(x) * _chbevl(x / 2.0 - 2.0, _I0_A)
+    return math.exp(x) * _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer not below ``n``, as
+    ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest power-of-two multiple of p35 not below n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _kaiserord(ripple: float, width: float) -> tuple[int, float]:
@@ -101,7 +164,8 @@ def _kaiser_bandpass(
     m = np.arange(0, numtaps, dtype=np.float64) - half
     h = right * np.sinc(right * m)
     h -= left * np.sinc(left * m)
-    h *= special.i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / special.i0(beta)
+    window = [_i0(v) for v in (beta * np.sqrt(1 - (m / half) ** 2.0)).tolist()]
+    h *= np.array(window) / _i0(beta)
     h /= np.sum(h * np.cos(np.pi * m * (0.5 * (left + right))))
     return h
 
@@ -119,21 +183,21 @@ def _fft_convolve(
     previous block's tail (Oppenheim and Schafer, Discrete-Time Signal
     Processing, overlap-add method).  A convolution that fits in one
     block is computed at the length ``scipy.signal.fftconvolve`` uses,
-    ``next_fast_len(n, True)``, and carries its bits; a longer one
+    the smallest 5-smooth one, and carries its bits; a longer one
     differs from it by rounding only.  ``start`` must lie below
     ``kernel.size``, as it does for the "same" and "valid" slices.
     """
     taps = kernel.size
-    size = next_fast_len(min(x.size + taps - 1, max(_FFT_BLOCK, 2 * taps)), True)
+    size = _next_fast_len(min(x.size + taps - 1, max(_FFT_BLOCK, 2 * taps)))
     step = size - taps + 1
-    kernel_spectrum = rfftn(kernel, [size])
+    kernel_spectrum = np.fft.rfft(kernel, size)
     out = np.empty(length)
     end = start + length
     filled = start
     for i in range(0, x.size, step):
-        spectrum = rfftn(x[i : i + step], [size])
+        spectrum = np.fft.rfft(x[i : i + step], size)
         spectrum *= kernel_spectrum
-        block = irfftn(spectrum, [size])
+        block = np.fft.irfft(spectrum, size)
         lo, hi = max(i, start), min(i + size, end)
         mid = max(lo, min(filled, hi))
         out[lo - start : mid - start] += block[lo - i : mid - i]
@@ -174,12 +238,34 @@ def check_median_window(window_samples: int, size: int) -> None:
 
 
 def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
-    """Absolute value followed by a reflect-padded sliding median."""
+    """Absolute value followed by a sliding median over symmetric padding.
+
+    Output i is the element of rank ``w // 2`` of the ``w`` rectified
+    samples from ``i - w // 2``, the window and rank of
+    ``scipy.ndimage.median_filter(..., mode="reflect")``.  Windows i and
+    i + 1 (i even) share ``w - 1`` samples: those are sorted once, in
+    blocks, and each window's median is the one extra sample clamped
+    between the shared samples of rank ``w // 2 - 1`` and ``w // 2``.
+    """
     samples = np.asarray(samples, dtype=np.float64)
-    check_median_window(window_samples, samples.size)
-    return ndimage.median_filter(
-        np.abs(samples), size=window_samples, mode="reflect"
-    )
+    n, w = samples.size, window_samples
+    check_median_window(w, n)
+    r = w // 2
+    # One sample more on the right gives an odd-length input's last pair
+    # its second extra.
+    padded = np.pad(samples, (r, w - r), "symmetric")
+    np.abs(padded, out=padded)
+    shared = sliding_window_view(padded[1:], w - 1)[::2]
+    out = np.empty(n)
+    pairs = (n + 1) // 2
+    for j in range(0, pairs, _MEDIAN_BLOCK):
+        k = min(pairs, j + _MEDIAN_BLOCK)
+        ranked = np.sort(shared[j:k], axis=-1)
+        low, high = ranked[:, r - 1], ranked[:, r]
+        out[2 * j : 2 * k : 2] = np.maximum(low, np.minimum(high, padded[2 * j : 2 * k : 2]))
+        second = np.maximum(low, np.minimum(high, padded[2 * j + w : 2 * k + w : 2]))
+        out[2 * j + 1 : 2 * k : 2] = second[: (min(2 * k, n) - 2 * j) // 2]
+    return out
 
 
 def _iteration_events(curve: CurveParams, multiplier: str) -> EventRecorder:

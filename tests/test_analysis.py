@@ -12,15 +12,18 @@ from nonce_lab.analysis import (
     LEAK_THRESHOLD,
     TTestResult,
     TemplateModel,
+    _as_matrix,
     classify_batch,
     export_t_csv,
     feature_matrix,
     fit_swap_classifier,
+    fit_swap_features,
     fit_templates,
     harvest_swap_windows,
     read_model,
     recover_nonce_bits,
     select_poi,
+    swap_features,
     welch_t,
     write_model,
 )
@@ -175,6 +178,22 @@ def test_full_mode_needs_ten_times_poi_per_class():
     short_x, short_y = blob_data(n=15)
     with pytest.raises(StatError):
         fit_templates(short_x, short_y, [0, 1], mode="full")
+
+
+def test_full_mode_distances_match_cho_solve():
+    """Full-mode Mahalanobis forms against ``scipy.linalg.cho_solve``, on
+    the envelope features of a swap-window campaign."""
+    from scipy import linalg
+
+    conds = np.random.default_rng(0).permutation(np.repeat([0, 1], 700)).tolist()
+    campaign = generate_swap_windows("plain", 9, conds, SimConfig(seed=5))
+    features, labels, meta = swap_features(
+        _as_matrix(campaign), campaign.labels[:, 0], campaign.traces[0].meta, SimConfig()
+    )
+    model = fit_swap_features(features, labels, meta, poi_count=64, mode="full")
+    deltas = features[:, model.poi] - model.mean1
+    want = np.sum(deltas * linalg.cho_solve(linalg.cho_factor(model.cov), deltas.T).T, axis=-1)
+    np.testing.assert_allclose(model._mahalanobis(deltas), want, rtol=1e-12, atol=0.0)
 
 
 def test_constant_features_are_rejected_as_singular():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nonce_lab
-from nonce_lab import cli
+from nonce_lab import cli, dsp
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
 from nonce_lab.analysis import read_model, write_model
 from nonce_lab.errors import AlignmentError
@@ -45,20 +45,53 @@ def _outputs(out):
     return blobs
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
+def run_fresh(code, *argv):
+    """Stdout of ``python -c code argv...`` in a fresh interpreter."""
     src = str(Path(nonce_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = (
-        "import sys, nonce_lab.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, nonce_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert run_fresh(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["keygen", "sign", "verify", "recover", "experiment"])
+def test_integer_commands_load_no_numpy(tmp_path, toy, command):
+    rng = random.Random(11)
+    key = keygen(toy, rng)
+    write_private_key(tmp_path / "key.txt", key)
+    sigs, known = [], []
+    for _ in range(3):
+        sig, nonce = sign(rng.randrange(1, toy.n), key, rng)
+        sigs.append(sig)
+        known.append(f"a={nonce.k.value % 4096:x}\n")
+    write_signatures(tmp_path / "sigs.txt", sigs)
+    (tmp_path / "known.txt").write_text("".join(known))
+    grid = write_config(
+        tmp_path / "grid.json", grid_leak_bits=[12], grid_signatures=[3], trials=2
+    )
+    key_arg = ["--key", tmp_path / "key.txt"]
+    sigs_arg = ["--signatures", tmp_path / "sigs.txt"]
+    argv = {
+        "keygen": [],
+        "sign": key_arg,
+        "verify": key_arg + sigs_arg,
+        "recover": key_arg + sigs_arg + ["--known", tmp_path / "known.txt", "--leak-bits", 12],
+        "experiment": ["--config", grid, "--jobs", 2],
+    }[command]
+    probe = (
+        "import sys; from nonce_lab.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))"
+    )
+    out = run_fresh(probe, command, "--curve", "toy16", "--out", tmp_path / "out", *argv)
+    assert out.splitlines()[-1] == "0 []"
 
 
 def write_config(path, **values):
@@ -240,9 +273,6 @@ class TestConfigResolution:
 def test_unpicklable_task_raises_and_joins_the_workers():
     # A task that cannot reach a worker fails its future; the error must
     # surface and the workers be joined, not wait for its result forever.
-    src = str(Path(nonce_lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     probe = (
         "import multiprocessing, pickle\n"
         "from nonce_lab import cli\n"
@@ -252,11 +282,7 @@ def test_unpicklable_task_raises_and_joins_the_workers():
         "except pickle.PicklingError:\n"
         "    print('raised', multiprocessing.active_children())\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.strip() == "raised []"
+    assert run_fresh(probe).strip() == "raised []"
 
 
 class TestKeySignVerify:
@@ -605,6 +631,17 @@ class TestAttack:
         )
         assert code in (0, 2)
 
+    def test_full_template_attack_profiles_enough_windows(self, tmp_path):
+        # Eight profiling runs on secp128r1 hold fewer windows per class
+        # than a full covariance over 64 poi needs; extra chunks make up
+        # the difference.
+        cfg = write_config(tmp_path / "full.json", template_mode="full")
+        code, _ = self.attack_outputs(
+            tmp_path, "--curve", "secp128r1", "--seed", 5, "--config", cfg
+        )
+        assert code in (0, 2)
+        assert read_model(tmp_path / "one/model.tmpl").mode == "full"
+
     def test_attack_daa_multiplier(self, tmp_path):
         cfg = self.attack_config(tmp_path, multiplier="daa")
         assert run_cli("attack", "--config", cfg, "--out", tmp_path / "daa") == 0
@@ -638,7 +675,7 @@ class TestAttack:
             raise AlignmentError("planted")
 
         if not aligns:
-            monkeypatch.setattr(cli, "align_swaps", fail)
+            monkeypatch.setattr(dsp, "align_swaps", fail)
         cfg = self.attack_config(tmp_path)
         code = run_cli("attack", "--config", cfg, "--jobs", 2, "--out", tmp_path / "o")
         assert code == (0 if aligns else 2)
@@ -648,7 +685,7 @@ class TestAttack:
         def fail(*args, **kwargs):
             raise AlignmentError("planted")
 
-        monkeypatch.setattr(cli, "align_swaps", fail)
+        monkeypatch.setattr(dsp, "align_swaps", fail)
         cfg = self.attack_config(tmp_path)
         assert run_cli("attack", "--config", cfg, "--jobs", 2, "--out", tmp_path / "o") == 2
         assert_one_error_line(capsys, "alignment")

@@ -139,6 +139,47 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
     )
 
 
+def test_ported_i0_matches_scipy_special():
+    from scipy import special
+
+    # A dense grid over both Chebyshev ranges, the joint at 8 and the
+    # Kaiser betas of every ripple the filter tests use.
+    betas = [_kaiserord(ripple, 0.01)[1] for ripple in (15.0, 30.0, 48.0, 60.0)]
+    edges = [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)]
+    x = np.concatenate((np.linspace(0.0, 50.0, 50_001), edges, betas))
+    assert np.array([dsp._i0(v) for v in x.tolist()]).tobytes() == special.i0(x).tobytes()
+    assert dsp._i0(-3.5) == dsp._i0(3.5)
+
+
+def test_ported_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    sizes = range(1, 70_000)
+    assert [dsp._next_fast_len(n) for n in sizes] == [next_fast_len(n, True) for n in sizes]
+
+
+# Window pairs per sort, in samples: inputs around its multiples cross
+# the median's block edges.
+_MEDIAN_EDGE = 2 * dsp._MEDIAN_BLOCK
+
+
+@pytest.mark.parametrize(
+    "size", [3, 4, 5, 17, 1000, _MEDIAN_EDGE - 1, _MEDIAN_EDGE, _MEDIAN_EDGE + 1, 3 * _MEDIAN_EDGE + 2]
+)
+def test_median_matches_ndimage(size):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(size)
+    # Windows as wide as the input only where that stays cheap.
+    windows = {3, 4, 16, 17} | ({size - 1, size} if size <= 1000 else set())
+    # Continuous samples, and coarse ones full of ties.
+    for x in (rng.normal(size=size), rng.integers(-3, 4, size=size).astype(np.float64)):
+        for window in sorted(windows):
+            if 3 <= window <= size:
+                want = ndimage.median_filter(np.abs(x), size=window, mode="reflect")
+                assert rectified_envelope(x, window).tobytes() == want.tobytes(), window
+
+
 def rounding_bound(x, kernel):
     """Absolute error allowed against ``fftconvolve``: 8 ulp of the largest
     possible output sample."""
