@@ -59,6 +59,19 @@ class TTestResult:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
+class ColumnFiles:
+    """A feature matrix of ``shape`` kept as ``.npy`` files of consecutive
+    row blocks, each transposed.  Its only index, ``[:, cols]``, maps each
+    file just while copying, so ``welch_t`` and ``fit_templates`` never hold it whole."""
+
+    paths: Sequence[Path]
+    shape: tuple[int, int]
+
+    def __getitem__(self, key: tuple) -> np.ndarray:
+        return np.concatenate([np.load(p, mmap_mode="r")[key[1]] for p in self.paths], 1).T.copy()
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class NonceEstimate:
     """Recovered nonce bits with the window-level evidence behind them.
 
@@ -163,7 +176,7 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
     return TraceSet(windows, np.asarray(labels, dtype=np.int8).reshape(-1, 1))
 
 
-def welch_t(data: TraceSet | np.ndarray, labels: Sequence) -> TTestResult:
+def welch_t(data: TraceSet | np.ndarray | ColumnFiles, labels: Sequence) -> TTestResult:
     """Two-class Welch t statistic at every sample point.
 
     Computed over slabs of about 64 columns, so the class copies and the
@@ -171,10 +184,10 @@ def welch_t(data: TraceSet | np.ndarray, labels: Sequence) -> TTestResult:
     wider ones (numpy would sum it pairwise, not row by row), so every
     column gets the arithmetic of the whole matrix.
     """
-    matrix = _as_matrix(data)
+    matrix = data if isinstance(data, ColumnFiles) else _as_matrix(data)
     parts = []
-    for cols in np.array_split(matrix, max(1, -(-matrix.shape[1] // 64)), axis=1):
-        class0, class1 = _class_split(cols, labels)
+    for cols in np.array_split(np.arange(matrix.shape[1]), max(1, -(-matrix.shape[1] // 64))):
+        class0, class1 = _class_split(matrix[:, cols[0] : cols[-1] + 1], labels)
         n0, n1 = class0.shape[0], class1.shape[0]
         if n0 < 2 or n1 < 2:
             raise StatError("each class needs at least 2 traces")
@@ -250,7 +263,7 @@ class TemplateModel:
 
 
 def fit_templates(
-    data: TraceSet | np.ndarray,
+    data: TraceSet | np.ndarray | ColumnFiles,
     labels: Sequence,
     poi: Sequence[int],
     *,
@@ -263,7 +276,7 @@ def fit_templates(
     trace.  Full mode demands at least ``10 * len(poi)`` traces per
     class; diagonal mode only needs two.
     """
-    matrix = _as_matrix(data)
+    matrix = data if isinstance(data, ColumnFiles) else _as_matrix(data)
     poi_sorted = np.sort(np.asarray(poi, dtype=np.int64))
     if poi_sorted.size == 0:
         raise DomainError("poi must not be empty")
@@ -352,7 +365,7 @@ def swap_features(
 
 
 def fit_swap_features(
-    features: np.ndarray,
+    features: np.ndarray | ColumnFiles,
     labels: np.ndarray,
     trained_on: dict[str, str],
     *,

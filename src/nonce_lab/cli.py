@@ -199,8 +199,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = cast(flag)
     if values["seed"] is None:
         values["seed"] = 0
-    if values["jobs"] is not None and values["jobs"] < 1:
-        raise ConfigError("jobs must be at least 1")
+    for name in ("jobs", "count", "train_count"):
+        if values[name] is not None and values[name] < 1:
+            raise ConfigError(f"{name} must be at least 1")
     if values["out"] is None:
         values["out"] = f"out-{args.command}"
     if values["word_count"] is None:
@@ -465,13 +466,13 @@ def _training_chunk(task, path: Path):
     # their features leave the worker.  They go through a file: the pool's
     # pipe would hand the 11 MB to the capturing process in 64 KiB reads,
     # each into a buffer sized for the rest of the message, while that
-    # process aligns the victim trace.
+    # process aligns the victim trace.  The file holds them column by column.
     curve_name, variant, multiplier, count, cfg = task
     windows = generate_training_windows(
         get_curve(curve_name), variant, count, cfg, multiplier=multiplier
     )
     features, labels, trained_on = swap_features(*windows, cfg)
-    np.save(path, features)
+    np.save(path, np.ascontiguousarray(features.T))
     return path, labels, features.shape[1], trained_on
 
 
@@ -482,7 +483,7 @@ def _fit_for_attack(
     in chunk order, so the model is the same at any ``jobs``."""
     import numpy as np
 
-    from .analysis import fit_swap_features
+    from .analysis import ColumnFiles, fit_swap_features
 
     parts = [chunk.result() for chunk in chunks]
     labels = np.concatenate([part[1] for part in parts])
@@ -499,14 +500,7 @@ def _fit_for_attack(
         parts.append(pool.submit(_training_chunk, task, spool / f"extra-{extra}.npy").result())
         labels = np.concatenate((labels, parts[-1][1]))
         extra += 1
-    # Each chunk's block is read from its file straight into its rows.
-    features, lo = np.empty((labels.size, parts[0][2])), 0
-    for path, *_ in parts:
-        with open(path, "rb") as fh:
-            np.lib.format.read_magic(fh)
-            (count, _), _, _ = np.lib.format.read_array_header_1_0(fh)
-            fh.readinto(features[lo : lo + count])
-        lo += count
+    features = ColumnFiles([part[0] for part in parts], (labels.size, parts[0][2]))
     return fit_swap_features(
         features, labels, parts[0][3], poi_count=rc.poi_count, mode=rc.template_mode
     )
@@ -559,6 +553,7 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
                 "multiplier": rc.multiplier,
             },
         )
+        del recorder
         truth = [w.cond for w in swap_windows(trace)]
         flags = [[w.interfered for w in swap_windows(trace)]]
         write_trace_set(TraceSet([trace], [truth], flags), out / "trace.trc")

@@ -10,11 +10,13 @@ Everything here runs on numpy alone.  The Kaiser band-pass design ports
 ``scipy.signal``'s ``kaiserord`` and ``firwin``, with the Cephes Bessel
 function ``i0`` that ``scipy.special`` also uses, and reproduces their
 taps bit for bit.  Both filters run through one FFT convolution,
-overlap-add over blocks of ``_FFT_BLOCK`` points, so a million-sample
-capture never needs a full-length spectrum; inputs that fit in one
+overlap-add over blocks of ``_FFT_BLOCK`` points; inputs that fit in one
 block get ``scipy.signal.fftconvolve``'s bits.  The envelope's sliding
 median is a selection, so it equals ``scipy.ndimage.median_filter``
-exactly.
+exactly.  ``align_swaps`` streams the capture through all three stages
+block by block, each carrying its overlap into the next with the
+whole-array bits, so the correlation track is the only capture-length
+array it allocates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -171,51 +173,47 @@ def _kaiser_bandpass(
 
 
 def _fft_convolve(
-    x: np.ndarray, kernel: np.ndarray, start: int, length: int
-) -> np.ndarray:
+    pieces: Iterable[np.ndarray], n: int, kernel: np.ndarray, start: int, length: int
+) -> Iterator[np.ndarray]:
     """``length`` samples from index ``start`` of the full linear
-    convolution of two real 1-D arrays, by overlap-add over FFT blocks.
+    convolution of a real kernel with a real signal of ``n`` samples,
+    given as consecutive ``pieces``, by overlap-add over FFT blocks.
 
     Each real FFT has ``size`` points, ``_FFT_BLOCK`` or twice the kernel
     if that is longer, and takes ``size - kernel.size + 1`` input
-    samples; the kernel's spectrum is taken once, and each block's
-    result is written into the output, added where it overlaps the
-    previous block's tail (Oppenheim and Schafer, Discrete-Time Signal
-    Processing, overlap-add method).  A convolution that fits in one
-    block is computed at the length ``scipy.signal.fftconvolve`` uses,
-    the smallest 5-smooth one, and carries its bits; a longer one
-    differs from it by rounding only.  ``start`` must lie below
-    ``kernel.size``, as it does for the "same" and "valid" slices.
+    samples, so the bits depend on ``n`` alone.  The kernel's spectrum is
+    taken once; each block's head is added to the previous block's tail,
+    and all but its own tail is yielded (Oppenheim and Schafer,
+    Discrete-Time Signal Processing, overlap-add method).  A convolution
+    that fits in one block is computed at the length
+    ``scipy.signal.fftconvolve`` uses, the smallest 5-smooth one, and
+    carries its bits; a longer one differs from it by rounding only.
+    ``start`` must lie below ``kernel.size``, as it does for the "same"
+    and "valid" slices.
     """
     taps = kernel.size
-    size = _next_fast_len(min(x.size + taps - 1, max(_FFT_BLOCK, 2 * taps)))
+    size = _next_fast_len(min(n + taps - 1, max(_FFT_BLOCK, 2 * taps)))
     step = size - taps + 1
     kernel_spectrum = np.fft.rfft(kernel, size)
-    out = np.empty(length)
     end = start + length
-    filled = start
-    for i in range(0, x.size, step):
-        spectrum = np.fft.rfft(x[i : i + step], size)
-        spectrum *= kernel_spectrum
-        block = np.fft.irfft(spectrum, size)
-        lo, hi = max(i, start), min(i + size, end)
-        mid = max(lo, min(filled, hi))
-        out[lo - start : mid - start] += block[lo - i : mid - i]
-        out[mid - start : hi - start] = block[mid - i : hi - i]
-        filled = hi
-    return out
+    i, rest = 0, np.empty(0)
+    for piece in pieces:
+        rest = np.concatenate((rest, piece)) if rest.size else piece
+        # A block takes step input samples, or the last ones.
+        while rest.size >= step or 0 < rest.size == n - i:
+            block = np.fft.irfft(np.fft.rfft(rest[:step], size) * kernel_spectrum, size)
+            rest = rest[step:]
+            if i:
+                np.add(tail, block[: taps - 1], out=block[: taps - 1])
+            tail = block[step:]
+            # Later blocks add to this one's last taps - 1 samples only.
+            hi = min(i + (step if i + step < n else size), end)
+            yield block[max(i, start) - i : hi - i]
+            i += step
 
 
-def bandpass(samples: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Linear-phase FIR band-pass of ``samples`` around the leak carrier,
-    ``f_mod`` +- ``f_mod / 4``, with the group delay compensated.
-
-    The stopband begins one full bandwidth away from the center and is
-    attenuated by at least 40 dB there; ``SimConfig`` keeps the band below
-    the Nyquist limit.  Because the kernel is symmetric and applied
-    centered, the output is not delayed: marker spans remain valid
-    without any shift.
-    """
+def _bandpass_pieces(samples: np.ndarray, cfg: SimConfig) -> Iterator[np.ndarray]:
+    """``bandpass`` of ``samples``, yielded in consecutive pieces."""
     bandwidth = 0.5 * cfg.f_mod
     transition = (bandwidth / 2.0) / (cfg.sample_rate / 2.0)
     numtaps, beta = _kaiserord(_STOPBAND_DB, transition)
@@ -228,7 +226,20 @@ def bandpass(samples: np.ndarray, cfg: SimConfig) -> np.ndarray:
     band = (cfg.f_mod - bandwidth / 2.0, cfg.f_mod + bandwidth / 2.0)
     taps = _kaiser_bandpass(numtaps, band, beta, cfg.sample_rate)
     # The centred slice of the full convolution undoes the group delay.
-    return _fft_convolve(samples, taps, (numtaps - 1) // 2, samples.size)
+    return _fft_convolve([samples], samples.size, taps, (numtaps - 1) // 2, samples.size)
+
+
+def bandpass(samples: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Linear-phase FIR band-pass of ``samples`` around the leak carrier,
+    ``f_mod`` +- ``f_mod / 4``, with the group delay compensated.
+
+    The stopband begins one full bandwidth away from the center and is
+    attenuated by at least 40 dB there; ``SimConfig`` keeps the band below
+    the Nyquist limit.  Because the kernel is symmetric and applied
+    centered, the output is not delayed: marker spans remain valid
+    without any shift.
+    """
+    return np.concatenate(list(_bandpass_pieces(samples, cfg)))
 
 
 def check_median_window(window_samples: int, size: int) -> None:
@@ -237,34 +248,55 @@ def check_median_window(window_samples: int, size: int) -> None:
         raise ConfigError(f"median window of {window_samples} samples is outside [3, {size}]")
 
 
-def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
-    """Absolute value followed by a sliding median over symmetric padding.
-
-    Output i is the element of rank ``w // 2`` of the ``w`` rectified
-    samples from ``i - w // 2``, the window and rank of
-    ``scipy.ndimage.median_filter(..., mode="reflect")``.  Windows i and
-    i + 1 (i even) share ``w - 1`` samples: those are sorted once, in
-    blocks, and each window's median is the one extra sample clamped
-    between the shared samples of rank ``w // 2 - 1`` and ``w // 2``.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    n, w = samples.size, window_samples
-    check_median_window(w, n)
+def _pair_medians(padded: np.ndarray, w: int, count: int) -> np.ndarray:
+    """Medians of the ``count`` windows of ``w`` samples from ``padded[0]``
+    on.  Windows i and i + 1 (i even) sort their ``w - 1`` shared samples
+    once, and each median is its extra sample clamped between two ranks."""
     r = w // 2
-    # One sample more on the right gives an odd-length input's last pair
-    # its second extra.
-    padded = np.pad(samples, (r, w - r), "symmetric")
-    np.abs(padded, out=padded)
     shared = sliding_window_view(padded[1:], w - 1)[::2]
-    out = np.empty(n)
-    pairs = (n + 1) // 2
+    out = np.empty(count)
+    pairs = (count + 1) // 2
     for j in range(0, pairs, _MEDIAN_BLOCK):
         k = min(pairs, j + _MEDIAN_BLOCK)
         ranked = np.sort(shared[j:k], axis=-1)
         low, high = ranked[:, r - 1], ranked[:, r]
         out[2 * j : 2 * k : 2] = np.maximum(low, np.minimum(high, padded[2 * j : 2 * k : 2]))
         second = np.maximum(low, np.minimum(high, padded[2 * j + w : 2 * k + w : 2]))
-        out[2 * j + 1 : 2 * k : 2] = second[: (min(2 * k, n) - 2 * j) // 2]
+        out[2 * j + 1 : 2 * k : 2] = second[: (min(2 * k, count) - 2 * j) // 2]
+    return out
+
+
+def _envelope_pieces(pieces: Iterable[np.ndarray], n: int, w: int) -> Iterator[np.ndarray]:
+    """``rectified_envelope`` of a signal of ``n`` samples given as
+    consecutive ``pieces``, yielded as the windows fill; the last ``w``
+    or so rectified samples are carried from piece to piece."""
+    check_median_window(w, n)
+    r, pieces = w // 2, iter(pieces)
+    held = np.abs(next(pieces))
+    while held.size < r:
+        held = np.concatenate((held, np.abs(next(pieces))))
+    held = np.concatenate((held[r - 1 :: -1], held))
+    for piece in pieces:
+        held = np.concatenate((held, np.abs(piece)))
+        pairs = (held.size - w + 1) // 2
+        if pairs > 0:
+            yield _pair_medians(held, w, 2 * pairs)
+            held = held[2 * pairs :]
+    # One sample more on the right gives an odd-length input's last pair
+    # its second extra.
+    held = np.concatenate((held, held[::-1][: w - r]))
+    yield _pair_medians(held, w, held.size - w)
+
+
+def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
+    """Absolute value followed by a sliding median over symmetric padding.
+
+    Output i is the element of rank ``w // 2`` of the ``w`` rectified
+    samples from ``i - w // 2``, the window and rank of
+    ``scipy.ndimage.median_filter(..., mode="reflect")``.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    (out,) = _envelope_pieces([samples], samples.size, window_samples)
     return out
 
 
@@ -305,35 +337,44 @@ def _pattern_template(curve: CurveParams, cfg: SimConfig, multiplier: str) -> np
     return rectified_envelope(samples, max(3, cfg.samples_per_event // 4))
 
 
-def _normalized_xcorr(envelope: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Cross-correlation normalized per window to [-1, 1]."""
+def _window_spread(pieces: Iterable[np.ndarray], width: int, t_norm: float, out: np.ndarray):
+    """Pass ``pieces`` through, first writing into ``out`` the spread
+    of every window of ``width`` samples that each piece completes."""
+    # Both running sums start from a leading zero, go on from their last
+    # total with the bits of one np.cumsum, and keep ``width`` totals.
+    sums = squares = np.zeros(1)
+    done = 0
+    for piece in pieces:
+        last = sums.size - 1
+        sums = np.concatenate((sums, piece))
+        squares = np.concatenate((squares, np.square(piece)))
+        for totals in (sums, squares):
+            np.cumsum(totals[last:], out=totals[last:])
+        window_sum = sums[width:] - sums[:-width]
+        spread = squares[width:] - squares[:-width] - window_sum**2 / width
+        spread = np.sqrt(np.maximum(spread, 0.0)) * t_norm
+        out[done : done + spread.size] = np.maximum(spread, 1e-12)
+        done += spread.size
+        sums, squares = sums[-width:], squares[-width:]
+        yield piece
+
+
+def _normalized_xcorr(pieces: Iterable[np.ndarray], n: int, template: np.ndarray) -> np.ndarray:
+    """Cross-correlation normalized per window to [-1, 1] of an envelope
+    of ``n`` samples, given as consecutive ``pieces``."""
     t = template - template.mean()
     t_norm = float(np.linalg.norm(t))
     if t_norm == 0.0:
         raise AlignmentError("pattern template is constant")
     width = template.size
-    # Only the lags where the template lies wholly inside the envelope.
-    out = _fft_convolve(envelope, t[::-1], width - 1, envelope.size - width + 1)
-    # Both running sums share one buffer with a leading zero; the window
-    # statistics then finish in place, in the order of the plain formula
-    # sqrt(max(sq - sum**2 / width, 0)) * |t|.
-    running = np.empty(envelope.size + 1)
-    running[0] = 0.0
-    np.cumsum(envelope, out=running[1:])
-    window_sum = running[width:] - running[:-width]
-    np.square(envelope, out=running[1:])
-    np.cumsum(running[1:], out=running[1:])
-    spread = running[width:] - running[:-width]
-    del running
-    np.square(window_sum, out=window_sum)
-    window_sum /= width
-    spread -= window_sum
-    del window_sum
-    np.maximum(spread, 0.0, out=spread)
-    np.sqrt(spread, out=spread)
-    spread *= t_norm
-    np.maximum(spread, 1e-12, out=spread)
-    out /= spread
+    # Valid lags only; each window's spread is in ``out`` before its
+    # correlation is final.
+    out, done = np.empty(n - width + 1), 0
+    spread = _window_spread(pieces, width, t_norm, out)
+    for block in _fft_convolve(spread, n, t[::-1], width - 1, out.size):
+        part = out[done : done + block.size]
+        np.divide(block, part, out=part)
+        done += block.size
     return out
 
 
@@ -545,11 +586,12 @@ def align_swaps(
     template = _pattern_template(curve, cfg, multiplier)
     if template.size > trace.samples.size:
         raise AlignmentError("trace is shorter than one iteration")
-    # The band-passed trace is dropped as soon as its envelope exists.
-    envelope = rectified_envelope(
-        bandpass(trace.samples, cfg), max(3, cfg.samples_per_event // 4)
+    # Streamed block by block: corr is the only trace-length array made.
+    n = trace.samples.size
+    envelope = _envelope_pieces(
+        _bandpass_pieces(trace.samples, cfg), n, max(3, cfg.samples_per_event // 4)
     )
-    corr = _normalized_xcorr(envelope, template)
+    corr = _normalized_xcorr(envelope, n, template)
     width = template.size
     best = float(corr.max(initial=0.0))
     threshold = max(_SEED_CORR_FLOOR, min(_SEED_CORR_CEILING, 0.6 * best))

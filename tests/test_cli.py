@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, artifacts, determinism."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 import nonce_lab
 from nonce_lab import cli, dsp
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
-from nonce_lab.analysis import read_model, write_model
+from nonce_lab.analysis import fit_swap_features, read_model, write_model
 from nonce_lab.errors import AlignmentError
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
 from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path, read_trace_set
@@ -261,6 +263,21 @@ class TestConfigResolution:
         path = tmp_path / "c.json"
         path.write_text(text)
         assert run_cli("keygen", "--config", str(path)) == 1
+        assert_one_error_line(capsys, "config")
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["simulate", "--count", 0], {}),
+            (["simulate", "--count", -3], {}),
+            (["attack", "--curve", "secp128r1"], {"train_count": 0}),
+            (["attack", "--curve", "secp128r1"], {"train_count": -2}),
+        ],
+        ids=["count-0", "count-negative", "train_count-0", "train_count-negative"],
+    )
+    def test_non_positive_counts_rejected(self, tmp_path, capsys, argv, values):
+        cfg = write_config(tmp_path / "c.json", **values)
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 1
         assert_one_error_line(capsys, "config")
 
     def test_derive_seed_is_stable_and_labeled(self):
@@ -540,6 +557,33 @@ class TestSimulatePipeline:
             "assess", "--traces", tmp_path / "absent.trc", "--out", tmp_path / "o",
         ) == 1
         assert "error: io:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["diag", "full"])
+def test_attack_fit_reads_a_few_columns_at_a_time(tmp_path, mode):
+    # The model fitted from the chunk files equals the fit of their joined
+    # matrix, which the fit itself never holds.
+    args = build_parser().parse_args(["attack", "--curve", "secp521r1", "--seed", "5"])
+    rc = dataclasses.replace(resolve_config(args), template_mode=mode, poi_count=8)
+    inline = cli._InlineExecutor()
+    chunks = [
+        inline.submit(cli._training_chunk, task, tmp_path / f"train-{i}.npy")
+        for i, task in enumerate(cli._scalars_tasks(rc, 5, 3 * cli._SCALAR_CHUNK))
+    ]
+    parts = [chunk.result() for chunk in chunks]
+    features = np.vstack([np.load(path).T for path, *_ in parts])
+    labels = np.concatenate([part[1] for part in parts])
+    want = fit_swap_features(features, labels, parts[0][3], poi_count=8, mode=mode)
+    tracemalloc.start()
+    try:
+        got = cli._fit_for_attack(rc, 5, chunks, inline, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features.nbytes / 2
+    for name in ("poi", "mean0", "mean1", "cov"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.trained_on == want.trained_on
 
 
 class TestAttack:

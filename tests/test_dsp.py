@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from nonce_lab import dsp
 from nonce_lab.cli import _sim_config, build_parser, derive_seed, resolve_config
 from nonce_lab.dsp import (
@@ -81,6 +83,15 @@ def scalar_mult_trace(curve, k, cfg, multiplier="ladder", variant=SwapKind.PLAIN
     return synthesize(recorder, cfg, meta={"multiplier": multiplier})
 
 
+def joined(pieces):
+    return np.concatenate(list(pieces))
+
+
+def convolve(x, kernel, start, length):
+    """``_fft_convolve`` of one whole array, joined."""
+    return joined(_fft_convolve([x], x.size, kernel, start, length))
+
+
 def central_rms(x, fraction=0.5):
     n = x.size
     lo = int(n * (1 - fraction) / 2)
@@ -125,7 +136,7 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
     assert _kaiser_bandpass(numtaps, band, beta, fs).tobytes() == taps.tobytes()
 
     noise = np.random.default_rng(numtaps).normal(size=8192)
-    filtered = _fft_convolve(
+    filtered = convolve(
         noise, _kaiser_bandpass(numtaps, band, beta, fs), (numtaps - 1) // 2, noise.size
     )
     assert filtered.tobytes() == scipy_bandpass(noise, fs, CENTER, bandwidth).tobytes()
@@ -134,7 +145,7 @@ def test_ported_filter_matches_scipy_signal(relative_bandwidth):
     envelope = rectified_envelope(filtered, 16)
     template = envelope[1000 : 1000 + numtaps]
     assert (
-        _normalized_xcorr(envelope, template).tobytes()
+        _normalized_xcorr([envelope], envelope.size, template).tobytes()
         == scipy_normalized_xcorr(envelope, template).tobytes()
     )
 
@@ -208,7 +219,7 @@ def test_blocked_convolution_matches_fftconvolve(taps, blocks, offset, mode, see
         "same": ((taps - 1) // 2, size),
         "valid": (taps - 1, size - taps + 1),
     }[mode]
-    got = _fft_convolve(x, kernel, start, length)
+    got = convolve(x, kernel, start, length)
     want = signal.fftconvolve(x, kernel, mode)
     if size + taps - 1 <= _FFT_BLOCK:  # one block: scipy's own bits
         assert got.tobytes() == want.tobytes()
@@ -222,7 +233,7 @@ def test_kernel_wider_than_a_block_is_convolved():
     rng = np.random.default_rng(3)
     x = rng.normal(size=4 * _FFT_BLOCK)
     kernel = rng.normal(size=_FFT_BLOCK + 1000)
-    got = _fft_convolve(x, kernel, (kernel.size - 1) // 2, x.size)
+    got = convolve(x, kernel, (kernel.size - 1) // 2, x.size)
     want = signal.fftconvolve(x, kernel, "same")
     assert np.abs(got - want).max() <= rounding_bound(x, kernel)
 
@@ -250,7 +261,11 @@ def test_blocked_alignment_matches_full_length_convolution(monkeypatch, p521, no
     trace, cfg = attack_capture(p521, seed, noise_sigma)
     assert trace.samples.size > 60 * _FFT_BLOCK
     blocked = align_swaps(trace, p521, cfg, "ladder")
-    monkeypatch.setattr(dsp, "_fft_convolve", full_fft_convolve)
+
+    def full_length(pieces, n, kernel, start, length):
+        yield full_fft_convolve(np.concatenate(list(pieces)), kernel, start, length)
+
+    monkeypatch.setattr(dsp, "_fft_convolve", full_length)
     full = align_swaps(trace, p521, cfg, "ladder")
     assert blocked.spans == full.spans
     assert np.abs(np.subtract(blocked.confidence, full.confidence)).max() <= 1e-9
@@ -271,9 +286,95 @@ def test_in_place_xcorr_matches_plain_formulas(n, seed, flat, data):
     envelope[: int(flat * n)] = 1.5
     template = np.abs(rng.normal(size=width))
     assert (
-        _normalized_xcorr(envelope, template).tobytes()
+        _normalized_xcorr([envelope], envelope.size, template).tobytes()
         == plain_normalized_xcorr(envelope, template).tobytes()
     )
+
+
+def cut(x, w):
+    """``x`` in pieces, with cuts inside its first and its last ``w``
+    samples, mid-way, and one-sample pieces at both ends."""
+    points = {1, 2, w // 2, w - 1, x.size // 3, x.size - w + 1, x.size - 2, x.size - 1}
+    return np.split(x, sorted(p for p in points if 0 < p < x.size))
+
+
+# Input sizes against a block step: below one block, an exact multiple of
+# the step, and one sample past it.
+def block_sizes(taps):
+    step = _FFT_BLOCK - taps + 1
+    return [step // 3, 2 * step, 2 * step + 1]
+
+
+# The pipeline's band-pass: f_mod +- f_mod / 4 at the default sample rate.
+_BAND_TAPS, _BAND_BETA = _kaiserord(48.0, (CENTER / 4.0) / (SimConfig().sample_rate / 2.0))
+_BAND_TAPS |= 1
+
+
+@pytest.mark.parametrize("n", block_sizes(_BAND_TAPS))
+@pytest.mark.parametrize("w", [3, 4, 16, 17])
+def test_streamed_bandpass_and_envelope_match_scipy(n, w):
+    from scipy import ndimage
+
+    cfg = SimConfig()
+    x = np.random.default_rng(n + w).normal(size=n)
+    whole = bandpass(x, cfg)
+    band = joined(dsp._bandpass_pieces(x, cfg))
+    taps = _kaiser_bandpass(_BAND_TAPS, (0.75 * CENTER, 1.25 * CENTER), _BAND_BETA, cfg.sample_rate)
+    streamed = joined(_fft_convolve(cut(x, w), n, taps, (_BAND_TAPS - 1) // 2, n))
+    assert streamed.tobytes() == band.tobytes() == whole.tobytes()
+    want = scipy_bandpass(x, cfg.sample_rate, CENTER, 0.5 * CENTER)
+    if n + _BAND_TAPS - 1 <= _FFT_BLOCK:  # one block: scipy's own bits
+        assert band.tobytes() == want.tobytes()
+    assert np.abs(band - want).max() <= rounding_bound(x, taps)
+
+    envelope = joined(dsp._envelope_pieces(cut(band, w), n, w))
+    want = ndimage.median_filter(np.abs(band), size=w, mode="reflect")
+    assert envelope.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("w", [3, 4, 16, 17])
+def test_envelope_of_one_sample_pieces_matches_ndimage(w):
+    from scipy import ndimage
+
+    x = np.random.default_rng(w).normal(size=3 * w + 1)
+    for size in (w, w + 1, x.size):
+        got = joined(dsp._envelope_pieces(np.split(x[:size], size), size, w))
+        want = ndimage.median_filter(np.abs(x[:size]), size=w, mode="reflect")
+        assert got.tobytes() == want.tobytes(), size
+
+
+@pytest.mark.parametrize("width", [3, 4, 16, 17, 300])
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_streamed_xcorr_matches_plain_formulas(monkeypatch, width, block):
+    n = block_sizes(width)[block]
+    rng = np.random.default_rng(n + width)
+    envelope = np.abs(rng.normal(size=n))
+    envelope[: n // 4] = 1.5  # windows on the variance floor
+    template = np.abs(rng.normal(size=width))
+    got = _normalized_xcorr(cut(envelope, width), n, template)
+    if n + width - 1 <= _FFT_BLOCK:  # one block: the full-length bits
+        assert got.tobytes() == scipy_normalized_xcorr(envelope, template).tobytes()
+    else:  # the window statistics of the plain formulas, over the same blocks
+        monkeypatch.setattr(oracles, "full_fft_convolve", convolve)
+    assert got.tobytes() == plain_normalized_xcorr(envelope, template).tobytes()
+
+
+def test_alignment_allocates_one_trace_length_array(p521):
+    # The noiseless secp521r1 victim trace of the acceptance attack.
+    trace, cfg = attack_capture(p521, 1, 0.0)
+    tracemalloc.start()
+    try:
+        aligned = align_swaps(trace, p521, cfg, "ladder")
+        added = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The correlation track alone is 8 bytes a sample, 9.1 MB here.
+    assert added <= 15e6
+    truth = swap_windows(trace)
+    assert len(aligned) == len(truth) == p521.n.bit_length()
+    for (start, end), window in zip(aligned.spans, truth):
+        assert abs(start - window.start) <= 16
+        assert abs(end - window.end) <= 16
 
 
 def test_rectify_median_keeps_constants():
