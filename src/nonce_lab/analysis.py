@@ -38,7 +38,9 @@ LEAK_THRESHOLD = 4.5
 # equal means then give t = 0 instead of 0/0.
 _VARIANCE_FLOOR = 1e-30
 
-_ENVELOPE_BLOCK_ROWS = 256  # rows per rectified_envelope call in feature_matrix
+# Rows per rectified_envelope call in feature_matrix, and per slab of
+# windows that recover_nonce_bits cuts and scores.
+_ENVELOPE_BLOCK_ROWS = 64
 
 # Ridge added to the pooled covariance, as a fraction of its mean
 # variance, so regularization scales with the signal.
@@ -61,14 +63,30 @@ class TTestResult:
 @dataclass(frozen=True, eq=False, slots=True)
 class ColumnFiles:
     """A feature matrix of ``shape`` kept as ``.npy`` files of consecutive
-    row blocks, each transposed.  Its only index, ``[:, cols]``, maps each
-    file just while copying, so ``welch_t`` and ``fit_templates`` never hold it whole."""
+    row blocks, each transposed.  Its only index, ``[:, cols]``, reads
+    just those columns, one plain read per run of consecutive columns in
+    each file, so ``welch_t`` and ``fit_templates`` never hold the matrix
+    whole and no file is mapped."""
 
     paths: Sequence[Path]
     shape: tuple[int, int]
 
     def __getitem__(self, key: tuple) -> np.ndarray:
-        return np.concatenate([np.load(p, mmap_mode="r")[key[1]] for p in self.paths], 1).T.copy()
+        cols = np.arange(self.shape[1])[key[1]]
+        runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1)
+        out, lo = np.empty((self.shape[0], cols.size)), 0
+        for path in self.paths:
+            with open(path, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                (_, rows), _, _ = np.lib.format.read_array_header_1_0(fh)
+                part, data, j = np.empty((cols.size, rows)), fh.tell(), 0
+                for run in runs:
+                    fh.seek(data + 8 * rows * int(run[0]))
+                    if fh.readinto(part[j : j + run.size]) != 8 * rows * run.size:
+                        raise DomainError(f"{path} is truncated")
+                    j += run.size
+            out[lo : lo + rows], lo = part.T, lo + rows
+        return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -431,10 +449,14 @@ def recover_nonce_bits(
         else:
             lo = min(max(start, 0), samples.size - width)
         starts.append(lo)
-    cut = np.lib.stride_tricks.sliding_window_view(samples, width)[starts]
-    guesses, probabilities = classify_batch(
-        model, feature_matrix(cut, median_samples)
-    )
+    # The windows are cut, reduced to envelopes in place and scored one
+    # slab of rows at a time, so no matrix of all of them exists.
+    view = np.lib.stride_tricks.sliding_window_view(samples, width)
+    slabs = []
+    for lo in range(0, len(starts), _ENVELOPE_BLOCK_ROWS):
+        rows = view[starts[lo : lo + _ENVELOPE_BLOCK_ROWS]]
+        slabs.append(classify_batch(model, _envelope_rows(rows, median_samples)))
+    guesses, probabilities = (np.concatenate(part) for part in zip(*slabs))
     conds = tuple(guesses.tolist())
     if multiplier == "ladder":
         bits = tuple(np.bitwise_xor.accumulate(guesses).tolist())

@@ -24,6 +24,7 @@ CSV or trace files; timing goes to a separate ``timing.txt``.
 Only the commands that handle traces import numpy and the signal
 chain, inside the command: ``keygen``, ``sign``, ``verify``, ``recover``
 and ``experiment`` run on integer arithmetic and start without them.
+``multiprocessing`` is imported only when a pool of workers starts.
 
 Exit codes: 0 on success, 1 for configuration or input problems, 2 when
 the analysis itself fails (alignment, recovery, failed verification).
@@ -41,8 +42,7 @@ import json
 import os
 import random
 import sys
-import tempfile
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from pathlib import Path
 from typing import Sequence
 
@@ -279,6 +279,8 @@ def _executor(jobs: int | None, tasks: int):
     if workers <= 1:
         yield _InlineExecutor()
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     pool = ProcessPoolExecutor(workers)
     try:
         yield pool
@@ -507,6 +509,8 @@ def _fit_for_attack(
 
 
 def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
+    import tempfile
+
     # Imported before the pool forks, so no worker imports them again.
     from .analysis import read_model, recover_nonce_bits, write_model
     from .dsp import align_swaps, write_windows_csv

@@ -207,19 +207,20 @@ def swap_windows(trace: LeakageTrace) -> list[SwapWindow]:
     return list(mt._windows)
 
 
-# Noise samples drawn per call: 512 KiB of float64.
+# Samples per block that the renderer fills (noise draws included) and the
+# trace writer converts: 512 KiB of float64.
 _NOISE_BLOCK = 1 << 16
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _carrier(
     width: int, sample_rate: float, f_mod: float, starts: bytes = bytes(8)
 ) -> np.ndarray:
     """cos(2*pi*f_mod*i/sample_rate) for i in s:s+width, one row per start
-    s (int64 bytes; 0 alone by default), read-only.  The traces of one run
-    share a length, and the uninterrupted profiling runs of one curve and
-    variant share their swap windows' positions, so one entry serves them
-    all."""
+    s (int64 bytes; 0 alone by default), read-only.  Each entry is one
+    block of whole rows: the uninterrupted profiling runs of one curve and
+    variant share their swap windows' positions (six blocks on secp521r1),
+    the traces of a campaign their start, so the entries serve them all."""
     lo = np.frombuffer(starts, np.int64)
     carrier = np.empty((lo.size, width))
     np.add(lo[:, None], np.arange(width), out=carrier)
@@ -328,9 +329,8 @@ def _render(
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Samples ``lo:hi`` of the laid-out waveform for each span (lo, hi),
-    one row per span; the spans share one width, and each starts and
-    ends on a segment edge.  With one row of levels per trace, the rows
-    are each trace's spans, trace after trace.
+    one row per span; the spans share one width.  With one row of levels
+    per trace, the rows are each trace's spans, trace after trace.
 
     The envelope multiplies a carrier at ``cfg.f_mod``, and Gaussian
     noise is added on top, drawn for the rendered samples only, row
@@ -341,56 +341,72 @@ def _render(
     bandpass cannot remove it.  The burst noise comes from a child of
     ``rng``, so every other draw is the same with bursts or without.
     The span (0, n) renders the whole trace.
+
+    The output is filled one block at a time: whole rows, or a piece of
+    one row longer than ``_NOISE_BLOCK``, so no temporary of the output's
+    size exists.  Every sample gets the arithmetic of a whole-array
+    render, and the draws come in the same order.
     """
     lo, hi = spans[:, 0], spans[:, 1]
     width = int(hi[0] - lo[0])
     if (hi - lo != width).any():
         raise DomainError("traces must share one length to form a matrix")
-    # The envelope segments inside each span, all spans in one run.
-    first = np.searchsorted(layout.edges, lo)
-    counts = np.searchsorted(layout.edges, hi) - first
-    offsets = np.cumsum(counts) - counts
-    seg = np.arange(int(counts.sum())) + np.repeat(first - offsets, counts)
-
-    # In place: each temporary of a full trace's length raises peak memory.
-    rows = np.repeat(layout.levels[..., seg], np.diff(layout.edges)[seg], axis=-1)
-    rows = rows.reshape(-1, len(spans), width)
-    carrier = _carrier(width, cfg.sample_rate, cfg.f_mod, lo.tobytes())
-    rows *= carrier
-    if noise is not None:
-        noise *= cfg.noise_sigma
-        rows += noise.reshape(rows.shape)
-    elif cfg.noise_sigma > 0.0:
-        # Bit for bit rng.normal(0.0, sigma, rows.size): the same draws,
-        # scaled in place, in blocks through one buffer, so no second
-        # array of the rows' size exists.
-        samples = rows.reshape(-1)
-        n = samples.size
-        block = np.empty(min(n, _NOISE_BLOCK))
-        for start in range(0, n, block.size):
-            noise = block[: n - start]
-            rng.standard_normal(out=noise)
-            noise *= cfg.noise_sigma
-            samples[start : start + noise.size] += noise
-    bursts = _burst_spans(cfg, int(layout.edges[-1]))
+    edges, levels = layout.edges, layout.levels.reshape(-1, layout.levels.shape[-1])
+    out = np.empty((len(levels) * len(spans), width))
+    bursts = _burst_spans(cfg, int(edges[-1]))
     bursts = [(a, b, amplitude) for a, b, amplitude in bursts if ((lo < b) & (hi > a)).any()]
     if bursts:
         burst_rng = rng.spawn(1)[0]
         smoothing = max(1, cfg.samples_per_event // 2)
-        kernel = np.ones(smoothing) / smoothing
-        skip = (smoothing - 1) // 2
-        for trace in rows:
-            for start, stop, amplitude in bursts:
-                # The centred slice of the full convolution: "same" mode
-                # returns the kernel's length when the burst is shorter.
-                full = np.convolve(burst_rng.standard_normal(stop - start), kernel)
-                envelope = amplitude * np.sqrt(smoothing) * full[skip : skip + stop - start]
-                for row, wave, s_lo, s_hi in zip(trace, carrier, lo.tolist(), hi.tolist()):
-                    a, b = max(s_lo, start), min(s_hi, stop)
-                    if a < b:
-                        burst = envelope[a - start : b - start] * wave[a - s_lo : b - s_lo]
-                        row[a - s_lo : b - s_lo] += burst
-    return rows.reshape(-1, width)
+        drawn = -1  # the trace whose burst envelopes are in hand
+    step, piece = max(1, _NOISE_BLOCK // width), min(width, _NOISE_BLOCK)
+    for r0 in range(0, len(out), step):
+        trace, span = np.divmod(np.arange(r0, min(len(out), r0 + step)), len(spans))
+        for c0 in range(0, width, piece):
+            block = out[r0 : r0 + trace.size, c0 : c0 + piece]
+            a = lo[span] + c0
+            b = a + block.shape[1]
+            # The envelope segments inside each block row, cut to the row.
+            first = np.searchsorted(edges, a, "right") - 1
+            counts = np.searchsorted(edges, b) - first
+            row = np.repeat(np.arange(trace.size), counts)
+            seg = np.arange(row.size) + np.repeat(first - np.cumsum(counts) + counts, counts)
+            runs = np.minimum(edges[seg + 1], b[row]) - np.maximum(edges[seg], a[row])
+            block[...] = np.repeat(levels[trace[row], seg], runs).reshape(block.shape)
+            # Blocks of whole rows recur in runs that share their spans; the
+            # pieces of one long row do not, so they stay out of the cache.
+            carrier = (_carrier if piece == width else _carrier.__wrapped__)(
+                block.shape[1], cfg.sample_rate, cfg.f_mod, a.tobytes()
+            )
+            block *= carrier
+            draws = None if noise is None else noise.reshape(-1)[r0 * width + c0 :][: block.size]
+            if draws is None and cfg.noise_sigma > 0.0:
+                # Bit for bit rng.normal(0.0, sigma, out.size), a block at a time.
+                draws = rng.standard_normal(block.size)
+            if draws is not None:
+                draws *= cfg.noise_sigma
+                block += draws.reshape(block.shape)
+            for i, (t, s_lo) in enumerate(zip(trace.tolist(), a.tolist()) if bursts else ()):
+                if t != drawn:  # a trace's burst draws, at its first row
+                    drawn, envelopes = t, [_burst_envelope(burst_rng, *bu, smoothing) for bu in bursts]
+                for (start, stop, _), envelope in zip(bursts, envelopes):
+                    x, y = max(s_lo, start), min(s_lo + block.shape[1], stop)
+                    if x < y:
+                        burst = envelope[x - start : y - start] * carrier[i, x - s_lo : y - s_lo]
+                        block[i, x - s_lo : y - s_lo] += burst
+    return out
+
+
+def _burst_envelope(
+    rng: np.random.Generator, start: int, stop: int, amplitude: float, smoothing: int
+) -> np.ndarray:
+    """White noise over ``start:stop`` smoothed by a ``smoothing``-point
+    moving average and scaled to RMS about ``amplitude``."""
+    # The centred slice of the full convolution: "same" mode returns the
+    # kernel's length when the burst is shorter.
+    full = np.convolve(rng.standard_normal(stop - start), np.ones(smoothing) / smoothing)
+    skip = (smoothing - 1) // 2
+    return amplitude * np.sqrt(smoothing) * full[skip : skip + stop - start]
 
 
 def _trace_meta(cfg: SimConfig, meta: dict[str, str] | None) -> dict[str, str]:
@@ -717,10 +733,13 @@ def write_trace_set(trace_set: TraceSet, path: Path | str) -> None:
             )
         )
         fh.write(meta_blob)
+        # Each row, zero-padded, converted and written one block at a time.
         for trace in traces:
-            row = np.zeros(width, dtype="<f4")
-            row[: trace.samples.size] = trace.samples.astype(np.float32)
-            fh.write(row.tobytes())
+            for lo in range(0, width, _NOISE_BLOCK):
+                block = np.zeros(min(width - lo, _NOISE_BLOCK), dtype="<f4")
+                part = trace.samples[lo : lo + block.size]
+                block[: part.size] = part
+                fh.write(block)
 
     with open(labels_path(path), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -740,12 +740,42 @@ def burst_overlay(trace, cfg, rng):
         if stop <= start:
             continue
         envelope = np.convolve(rng.normal(0.0, 1.0, stop - start), kernel, "same")
-        envelope *= np.sqrt(smoothing)
         t = np.arange(start, stop, dtype=np.float64) / trace.sample_rate
-        out[start:stop] += amplitude * envelope * np.cos(2.0 * np.pi * cfg.f_mod * t)
+        wave = np.cos(2.0 * np.pi * cfg.f_mod * t)
+        out[start:stop] += amplitude * np.sqrt(smoothing) * envelope * wave
         flagged |= (mt.starts < stop) & (mt.ends > start)
     markers = MarkerTable(mt.starts, mt.ends, mt.kinds, mt.conds, flagged)
     return LeakageTrace(out, trace.sample_rate, markers, dict(trace.meta))
+
+
+def whole_render(layout, spans, cfg, rng, noise=None):
+    """``tracesim._render`` as whole arrays: each sample's envelope level
+    looked up by binary search over the segment edges, times
+    cos(2*pi*f_mod*i/sample_rate) at its sample index i, plus one normal
+    draw over all rows (or ``sigma`` times the given standard normal
+    draws), plus ``burst_overlay`` on each trace from one child of
+    ``rng``.  Bursts need spans that cover whole traces."""
+    levels = np.atleast_2d(layout.levels)
+    rows = []
+    for level_row in levels:
+        for lo, hi in spans:
+            index = np.arange(lo, hi)
+            level = level_row[np.searchsorted(layout.edges, index, "right") - 1]
+            t = index.astype(np.float64) / cfg.sample_rate
+            rows.append(level * np.cos(t * (2.0 * np.pi * cfg.f_mod)))
+    rows = np.array(rows)
+    if noise is not None:
+        rows = rows + noise * cfg.noise_sigma
+    elif cfg.noise_sigma > 0.0:
+        rows = rows + rng.normal(0.0, cfg.noise_sigma, rows.shape)
+    if cfg.interference:
+        burst_rng = rng.spawn(1)[0]
+        markers = MarkerTable.empty()
+        rows = np.array([
+            burst_overlay(LeakageTrace(row, cfg.sample_rate, markers, {}), cfg, burst_rng).samples
+            for row in rows
+        ])
+    return rows
 
 
 def window_by_window_campaign(variant, word_count, conds, cfg, rng):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import mmap
 import struct
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from nonce_lab.analysis import (
     LEAK_THRESHOLD,
+    ColumnFiles,
     TTestResult,
     TemplateModel,
     _as_matrix,
@@ -598,3 +600,28 @@ def test_recover_rejects_empty_windows(toy):
     with pytest.raises(AlignmentError):
         recover_nonce_bits(trace, model, empty, "ladder")
 
+
+
+def test_column_files_read_columns_without_mapping(tmp_path, monkeypatch):
+    """``ColumnFiles[:, cols]`` is the joined matrix's columns, read with
+    plain file reads: nothing is mapped or loaded whole."""
+    matrix = np.random.default_rng(0).standard_normal((300, 40))
+    paths = []
+    for i, (lo, hi) in enumerate(((0, 120), (120, 121), (121, 300))):
+        paths.append(tmp_path / f"part-{i}.npy")
+        np.save(paths[-1], np.ascontiguousarray(matrix[lo:hi].T))
+    files = ColumnFiles(paths, matrix.shape)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column file was mapped or loaded")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    monkeypatch.setattr(np, "load", refuse)
+    for cols in (slice(0, 40), slice(7, 8), slice(5, 29), np.array([0, 1, 2, 9, 17, 18, 39]), np.array([3])):
+        got = files[:, cols]
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(matrix[:, cols]).tobytes()
+    with open(paths[2], "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 8)
+    with pytest.raises(DomainError, match="truncated"):
+        files[:, np.array([0, 39])]

@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, artifacts, determinism."""
 
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -90,10 +91,12 @@ def test_integer_commands_load_no_numpy(tmp_path, toy, command):
     }[command]
     probe = (
         "import sys; from nonce_lab.cli import main; code = main(sys.argv[1:]); "
-        "print(code, sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))"
+        "print(code, sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))), "
+        "sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
     )
     out = run_fresh(probe, command, "--curve", "toy16", "--out", tmp_path / "out", *argv)
-    assert out.splitlines()[-1] == "0 []"
+    # No process pool either: the one-cell grid runs in this process.
+    assert out.splitlines()[-1] == "0 [] []"
 
 
 def write_config(path, **values):
@@ -386,7 +389,7 @@ class TestSimulatePipeline:
         def no_pool(*args, **kwargs):
             raise AssertionError("simulate started a process pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         argv = ["--config", toy_sim_config, "--curve", "toy16", "--shape", shape]
         if shape == "scalars":
             argv += ["--count", 8]

@@ -10,6 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from nonce_lab import dsp
+from nonce_lab.analysis import (
+    classify_batch,
+    feature_matrix,
+    fit_swap_classifier,
+    harvest_swap_windows,
+    recover_nonce_bits,
+)
 from nonce_lab.cli import _sim_config, build_parser, derive_seed, resolve_config
 from nonce_lab.dsp import (
     _FFT_BLOCK,
@@ -39,8 +46,11 @@ from nonce_lab.tracesim import (
     LeakageTrace,
     MarkerTable,
     SimConfig,
+    TraceSet,
+    read_trace_set,
     swap_windows,
     synthesize,
+    write_trace_set,
 )
 from oracles import (
     full_fft_convolve,
@@ -238,9 +248,9 @@ def test_kernel_wider_than_a_block_is_convolved():
     assert np.abs(got - want).max() <= rounding_bound(x, kernel)
 
 
-def attack_capture(curve, seed, noise_sigma):
-    """The victim trace of ``nonce-lab attack --seed seed`` at the given
-    noise, and the config its alignment runs with."""
+def attack_events(curve, seed, noise_sigma):
+    """The victim's events of ``nonce-lab attack --seed seed``, the capture
+    config at the given noise, and the config its alignment runs with."""
     args = build_parser().parse_args(["attack", "--curve", curve.name, "--seed", str(seed)])
     rc = dataclasses.replace(resolve_config(args), noise_sigma=noise_sigma)
     key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
@@ -248,12 +258,23 @@ def attack_capture(curve, seed, noise_sigma):
     recorder = EventRecorder()
     swap = SwapVariant(SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63)
     sign(rng.randrange(1, curve.n), key, rng, rc.multiplier, swap, recorder)
-    trace = synthesize(
-        recorder,
-        _sim_config(rc, derive_seed(seed, "capture")),
-        meta={"multiplier": rc.multiplier},
-    )
-    return trace, _sim_config(rc, 0)
+    return recorder, _sim_config(rc, derive_seed(seed, "capture")), _sim_config(rc, 0)
+
+
+def attack_capture(curve, seed, noise_sigma):
+    """The victim trace of ``nonce-lab attack --seed seed`` at the given
+    noise, and the config its alignment runs with."""
+    recorder, capture, cfg = attack_events(curve, seed, noise_sigma)
+    return synthesize(recorder, capture, meta={"multiplier": "ladder"}), cfg
+
+
+def added_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("noise_sigma, seed", [(2.0, 1), (2.0, 2), (2.0, 3), (5.0, 1), (5.0, 2)])
@@ -362,12 +383,7 @@ def test_streamed_xcorr_matches_plain_formulas(monkeypatch, width, block):
 def test_alignment_allocates_one_trace_length_array(p521):
     # The noiseless secp521r1 victim trace of the acceptance attack.
     trace, cfg = attack_capture(p521, 1, 0.0)
-    tracemalloc.start()
-    try:
-        aligned = align_swaps(trace, p521, cfg, "ladder")
-        added = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    aligned, added = added_peak(align_swaps, trace, p521, cfg, "ladder")
     # The correlation track alone is 8 bytes a sample, 9.1 MB here.
     assert added <= 15e6
     truth = swap_windows(trace)
@@ -375,6 +391,41 @@ def test_alignment_allocates_one_trace_length_array(p521):
     for (start, end), window in zip(aligned.spans, truth):
         assert abs(start - window.start) <= 16
         assert abs(end - window.end) <= 16
+
+
+def test_synthesis_allocates_one_trace_length_array(p521):
+    # The victim trace is 8 bytes a sample, 9.1 MB; rendered as whole
+    # arrays, it took 3.3 times that.
+    recorder, cfg, _ = attack_events(p521, 1, 0.0)
+    trace, added = added_peak(synthesize, recorder, cfg)
+    assert trace.samples.size > 1_000_000
+    assert added <= 1.6 * trace.samples.nbytes
+
+
+def test_trace_file_is_written_in_blocks(p521, tmp_path):
+    trace, _ = attack_capture(p521, 1, 0.0)
+    truth = [[w.cond for w in swap_windows(trace)]]
+    _, added = added_peak(write_trace_set, TraceSet([trace], truth), tmp_path / "v.trc")
+    assert added <= 2e6
+    (read,) = read_trace_set(tmp_path / "v.trc").traces
+    assert read.samples.tobytes() == trace.samples.astype(np.float32).astype(np.float64).tobytes()
+
+
+def test_classification_scores_the_windows_in_slabs(p521):
+    """The aligned windows are cut, reduced and scored a slab at a time,
+    with the bits of one matrix of them all."""
+    trace, cfg = attack_capture(p521, 1, 0.0)
+    truth = swap_windows(trace)
+    model = fit_swap_classifier(harvest_swap_windows(TraceSet([trace], [[w.cond for w in truth]])), cfg)
+    aligned = align_swaps(trace, p521, cfg, "ladder")
+    estimate, added = added_peak(recover_nonce_bits, trace, model, aligned, "ladder")
+    assert added <= 4e6
+    width = int(model.trained_on["feature_length"])
+    starts = [max(min(end, trace.samples.size) - width, 0) for _, end in aligned.spans]
+    cut = np.lib.stride_tricks.sliding_window_view(trace.samples, width)[starts]
+    conds, probabilities = classify_batch(model, feature_matrix(cut, int(model.trained_on["median_samples"])))
+    assert estimate.conds == tuple(conds.tolist()) == tuple(w.cond for w in truth)
+    assert estimate.probabilities.tobytes() == probabilities.tobytes()
 
 
 def test_rectify_median_keeps_constants():

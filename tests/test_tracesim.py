@@ -16,7 +16,7 @@ from nonce_lab.ff_curve import (
     double_and_always_add,
     montgomery_ladder,
 )
-from nonce_lab.swap_impls import SwapKind, SwapVariant
+from nonce_lab.swap_impls import SwapKind, SwapVariant, WordArrayPair, ct_swap
 from nonce_lab import tracesim
 from nonce_lab.tracesim import (
     _DURATION_DIVISOR,
@@ -36,7 +36,7 @@ from nonce_lab.tracesim import (
     write_trace_set,
 )
 
-from oracles import burst_overlay, marker_columns, window_by_window_campaign
+from oracles import burst_overlay, marker_columns, whole_render, window_by_window_campaign
 
 
 def quiet_cfg(**overrides):
@@ -303,7 +303,7 @@ def test_bursts_match_the_reference_overlay(toy, multiplier):
     and the operand, noise and interruption draws, as the reference
     overlay on the burst-free trace does, and flag the same markers;
     overlaid from the trace generator's first child, the reference
-    matches inside them too, up to rounding."""
+    matches inside them too, bit for bit."""
     rec = EventRecorder()
     scalar = Scalar.for_curve(0x9C31, toy)
     if multiplier == "ladder":
@@ -324,7 +324,7 @@ def test_bursts_match_the_reference_overlay(toy, multiplier):
             outside[round(start * n) : round(start * n) + round(length * n)] = False
         assert got.samples[outside].tobytes() == want.samples[outside].tobytes()
         assert not np.array_equal(got.samples[~outside], clean.samples[~outside])
-        np.testing.assert_allclose(got.samples, want.samples, rtol=0.0, atol=1e-9)
+        assert got.samples.tobytes() == want.samples.tobytes()
         assert got.markers == want.markers
         assert 0 < got.markers.interfered.sum() < len(got.markers)
 
@@ -566,35 +566,138 @@ def test_trace_file_rejects_bad_meta_and_oversized_header(tmp_path, toy):
         read_trace_set(path)
 
 
-def test_cached_carrier_is_read_only():
-    carrier = tracesim._carrier(1000, 2.5e6, 1.0e5)
-    assert not carrier.flags.writeable
+def test_cached_carrier_is_read_only(p521):
+    """Profiling renders cache their carrier one block of whole swap
+    windows at a time, as many rows as fit in ``_NOISE_BLOCK`` samples;
+    the second run's blocks are all hits, and every block is read-only."""
+    cfg = quiet_cfg()
+    windows = swap_windows(generate_training_set(p521, "plain", 1, cfg).traces[0])
+    width = windows[0].end - windows[0].start
+    rows = tracesim._NOISE_BLOCK // width
+    tracesim._carrier.cache_clear()
+    generate_training_windows(p521, "plain", 2, cfg, np.random.default_rng(1))
+    info = tracesim._carrier.cache_info()
+    assert info.hits == info.misses == info.currsize == -(-len(windows) // rows)
+    starts = np.array([w.start for w in windows[:rows]], dtype=np.int64)
+    carrier = tracesim._carrier(width, cfg.sample_rate, cfg.f_mod, starts.tobytes())
+    assert tracesim._carrier.cache_info().hits == info.hits + 1
+    assert carrier.shape == (rows, width) and not carrier.flags.writeable
     with pytest.raises(ValueError):
-        carrier[0] = 0.0
+        carrier[0, 0] = 0.0
 
 
 def test_carrier_rows_follow_their_sample_index():
-    starts = np.array([0, 7, 1000], dtype=np.int64)
+    starts = np.array([0, 7, 1000, 3 * tracesim._NOISE_BLOCK + 5], dtype=np.int64)
     carrier = tracesim._carrier(5, 2.5e6, 1.0e5, starts.tobytes())
+    # Each row is the expression at its absolute sample index, bit for bit.
     index = starts[:, None] + np.arange(5)
-    expected = np.cos(2.0 * np.pi * 1.0e5 * index / 2.5e6)
-    np.testing.assert_allclose(carrier, expected, rtol=0.0, atol=1e-12)
+    assert carrier.tobytes() == np.cos(index / 2.5e6 * (2.0 * np.pi * 1.0e5)).tobytes()
 
 
 @pytest.mark.parametrize("interruption_prob", [0.0, 1.0])
-def test_synthesize_with_cached_carrier_matches_a_fresh_one(toy, interruption_prob):
-    """Lengths alternate (and gaps splice in), so the one-entry cache both
-    hits and misses; every trace equals one synthesized on a fresh carrier."""
+def test_synthesize_with_cached_carrier_matches_a_fresh_one(toy, p128, interruption_prob):
+    """Lengths alternate (and gaps splice in), so the block cache both
+    hits and misses; every trace, and every profiling run's windows, equals
+    one rendered on fresh blocks.  A trace longer than a block leaves the
+    cache as it was: the pieces of one long row never recur."""
     cfg = SimConfig(samples_per_event=8, interruption_prob=interruption_prob, seed=3)
     short, long = flat_events(40), step_events(toy)
     streams = [short, short, long, long, short, long]
     tracesim._carrier.cache_clear()
     warm = [synthesize(ev, cfg, np.random.default_rng(i)) for i, ev in enumerate(streams)]
-    assert len({t.samples.size for t in warm}) > 1
+    windows = generate_training_windows(p128, "plain", 3, cfg, np.random.default_rng(7))[0]
+    info = tracesim._carrier.cache_info()
+    assert len({t.samples.size for t in warm}) > 1 and info.misses
+    assert info.hits or interruption_prob  # gaps make every render differ
+    synthesize(flat_events(9000), cfg)
+    assert tracesim._carrier.cache_info()[1:] == info[1:]  # no new miss or entry
     for i, ev in enumerate(streams):
         tracesim._carrier.cache_clear()
         fresh = synthesize(ev, cfg, np.random.default_rng(i))
         assert np.array_equal(warm[i].samples, fresh.samples)
+    tracesim._carrier.cache_clear()
+    fresh = generate_training_windows(p128, "plain", 3, cfg, np.random.default_rng(7))[0]
+    assert windows.tobytes() == fresh.tobytes()
+
+
+def _ladder_columns(curve, seed):
+    rec = EventRecorder()
+    scalar = Scalar.for_curve(int(np.random.default_rng(seed).integers(1, 2**62)), curve)
+    montgomery_ladder(scalar, curve.generator, curve, SwapVariant(SwapKind.PLAIN, rng_seed=seed), rec)
+    return tracesim._event_columns(rec)
+
+
+def _render_both(layout_of, spans_of, cfg, seed, noise=None):
+    """``_render`` and the whole-array oracle on one layout, each from its
+    own generator of ``seed``; both generators must end in one state."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    layout, want_layout = layout_of(got_rng), layout_of(want_rng)
+    assert layout.edges.tobytes() == want_layout.edges.tobytes()
+    spans = spans_of(layout)
+    # _render scales the caller's draws in place.
+    got = tracesim._render(layout, spans, cfg, got_rng, None if noise is None else noise.copy())
+    want = whole_render(want_layout, spans, cfg, want_rng, noise)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+    return layout, got
+
+
+@pytest.mark.parametrize(
+    "interruption_prob, interference",
+    [(0.0, ()), (1.0, ()), (1.0, ((0.2, 0.2, 5.0), (0.7, 0.25, 3.0)))],
+)
+def test_blocked_render_matches_the_whole_array_oracle(p128, interruption_prob, interference):
+    """A whole trace of several blocks, with block edges inside segments,
+    an interruption gap and bursts across block edges, bit for bit."""
+    kinds, leaks, _ = _ladder_columns(p128, 1)
+    cfg = SimConfig(noise_sigma=2.0, interruption_prob=interruption_prob, interference=interference)
+    layout, got = _render_both(
+        lambda rng: tracesim._layout(kinds, leaks, cfg, rng), lambda lay: np.array([[0, lay.edges[-1]]]), cfg, 9
+    )
+    n, block = got.size, tracesim._NOISE_BLOCK
+    cuts = np.arange(block, n, block)
+    assert n > 3 * block and not np.isin(cuts, layout.edges).all()
+    assert (layout.levels == 0.0).any() == (interruption_prob == 1.0)
+    for start, stop, _ in tracesim._burst_spans(cfg, n):
+        assert ((start < cuts) & (cuts < stop)).any()
+
+
+def test_blocked_multi_row_renders_match_the_whole_array_oracle(p128, p521):
+    """Swap windows of a profiling run over several blocks of rows; a
+    campaign's rows, with given noise and bursts; and two traces longer
+    than a block, whose bursts are drawn trace after trace."""
+    kinds, leaks, conds = _ladder_columns(p521, 2)
+    first, stop = tracesim._swap_bursts(kinds, conds)
+    cfg = SimConfig(noise_sigma=2.0)
+    _, rows = _render_both(
+        lambda rng: tracesim._layout(kinds, leaks, cfg, rng),
+        lambda lay: np.stack((lay.starts[first], lay.ends[stop - 1]), axis=1), cfg, 4,
+    )
+    assert len(rows) == 521 and rows.size > 3 * tracesim._NOISE_BLOCK
+
+    rec = EventRecorder()
+    words = WordArrayPair(tuple(range(9)), tuple(range(9, 18)))
+    for cond in range(2):
+        ct_swap(SwapVariant(SwapKind.MASKED, rng_seed=cond), words, cond, rec)
+    campaign_kinds, campaign_leaks, _ = tracesim._event_columns(rec)
+    events = campaign_kinds.size // 2
+    width = int((cfg.samples_per_event // tracesim._DIVISORS)[campaign_kinds[:events]].sum())
+    count = 3 * tracesim._NOISE_BLOCK // width + 7
+    campaign_leaks = np.resize(campaign_leaks, (count, events))
+    campaign_cfg = SimConfig(noise_sigma=1.5, interference=((0.1, 0.5, 3.0),))
+    noise = np.random.default_rng(3).standard_normal((count, width))
+    _render_both(
+        lambda rng: tracesim._layout(campaign_kinds[:events], campaign_leaks, campaign_cfg, rng),
+        lambda lay: np.array([[0, width]]), campaign_cfg, 5, noise,
+    )
+
+    kinds, leaks, _ = _ladder_columns(p128, 3)
+    burst_cfg = SimConfig(noise_sigma=2.0, interference=((0.1, 0.3, 5.0),))
+    _, rows = _render_both(
+        lambda rng: tracesim._layout(kinds, np.stack((leaks, leaks[::-1])), burst_cfg, rng),
+        lambda lay: np.array([[0, lay.edges[-1]]]), burst_cfg, 6,
+    )
+    assert rows.shape[0] == 2 and rows.shape[1] > tracesim._NOISE_BLOCK
 
 
 def test_non_utf8_label_sidecar_is_domain_error(tmp_path):
