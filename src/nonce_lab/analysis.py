@@ -1,10 +1,12 @@
-"""Leakage assessment and profiled classification of swap conditions.
+"""Leakage assessment and classification of swap conditions.
 
-Two consumers share this module: the assessment path runs Welch's
-t-test over labelled capture campaigns and compares the largest |t|
-with the 4.5 threshold, and the attack path fits per-class Gaussian
-templates at the strongest points and scores all aligned swap windows
-of a trace as one matrix to read off the nonce bits.
+The assessment path runs Welch's t-test over labelled capture campaigns
+and compares the largest |t| with the 4.5 threshold.  The profiled path
+fits per-class Gaussian templates at the strongest points and scores
+all aligned swap windows of a trace with them.  The clustered path
+needs no profiling: it splits the aligned windows of the one trace into
+two classes along their first principal component.  Both read the
+nonce bits off the classes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsp import AlignedSwapWindows, check_median_window, rectified_envelope
-from .errors import AlignmentError, ConfigError, DomainError, StatError
+from .errors import AlignmentError, ConfigError, DomainError, RecoveryFailed, StatError
 from .ff_curve import MULTIPLIERS
 from .tracesim import (
     LeakageTrace,
@@ -46,6 +48,13 @@ _ENVELOPE_BLOCK_ROWS = 64
 # variance, so regularization scales with the signal.
 _RIDGE_SCALE = 1e-6
 
+# Clustering: the power iteration's stopping step and cap, the EM steps,
+# and each cluster's variance floor as a fraction of the values' variance.
+_PC_TOLERANCE = 1e-12
+_PC_MAX_STEPS = 500
+_EM_STEPS = 50
+_EM_VARIANCE_FLOOR = 1e-6
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TTestResult:
@@ -58,35 +67,6 @@ class TTestResult:
     @property
     def max_abs_t(self) -> float:
         return float(np.max(np.abs(self.t_values)))
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class ColumnFiles:
-    """A feature matrix of ``shape`` kept as ``.npy`` files of consecutive
-    row blocks, each transposed.  Its only index, ``[:, cols]``, reads
-    just those columns, one plain read per run of consecutive columns in
-    each file, so ``welch_t`` and ``fit_templates`` never hold the matrix
-    whole and no file is mapped."""
-
-    paths: Sequence[Path]
-    shape: tuple[int, int]
-
-    def __getitem__(self, key: tuple) -> np.ndarray:
-        cols = np.arange(self.shape[1])[key[1]]
-        runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1)
-        out, lo = np.empty((self.shape[0], cols.size)), 0
-        for path in self.paths:
-            with open(path, "rb") as fh:
-                np.lib.format.read_magic(fh)
-                (_, rows), _, _ = np.lib.format.read_array_header_1_0(fh)
-                part, data, j = np.empty((cols.size, rows)), fh.tell(), 0
-                for run in runs:
-                    fh.seek(data + 8 * rows * int(run[0]))
-                    if fh.readinto(part[j : j + run.size]) != 8 * rows * run.size:
-                        raise DomainError(f"{path} is truncated")
-                    j += run.size
-            out[lo : lo + rows], lo = part.T, lo + rows
-        return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -167,8 +147,6 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
     Profiling operates on isolated windows; this turns a set of whole
     scalar multiplications into one, keeping each window's condition as
     its label and skipping windows flagged as interfered.
-    ``tracesim.generate_training_windows`` renders the same windows
-    without the rest of each trace.
     """
     windows: list[LeakageTrace] = []
     labels: list[int] = []
@@ -194,7 +172,7 @@ def harvest_swap_windows(trace_set: TraceSet) -> TraceSet:
     return TraceSet(windows, np.asarray(labels, dtype=np.int8).reshape(-1, 1))
 
 
-def welch_t(data: TraceSet | np.ndarray | ColumnFiles, labels: Sequence) -> TTestResult:
+def welch_t(data: TraceSet | np.ndarray, labels: Sequence) -> TTestResult:
     """Two-class Welch t statistic at every sample point.
 
     Computed over slabs of about 64 columns, so the class copies and the
@@ -202,10 +180,10 @@ def welch_t(data: TraceSet | np.ndarray | ColumnFiles, labels: Sequence) -> TTes
     wider ones (numpy would sum it pairwise, not row by row), so every
     column gets the arithmetic of the whole matrix.
     """
-    matrix = data if isinstance(data, ColumnFiles) else _as_matrix(data)
+    matrix = _as_matrix(data)
     parts = []
-    for cols in np.array_split(np.arange(matrix.shape[1]), max(1, -(-matrix.shape[1] // 64))):
-        class0, class1 = _class_split(matrix[:, cols[0] : cols[-1] + 1], labels)
+    for cols in np.array_split(matrix, max(1, -(-matrix.shape[1] // 64)), axis=1):
+        class0, class1 = _class_split(cols, labels)
         n0, n1 = class0.shape[0], class1.shape[0]
         if n0 < 2 or n1 < 2:
             raise StatError("each class needs at least 2 traces")
@@ -281,7 +259,7 @@ class TemplateModel:
 
 
 def fit_templates(
-    data: TraceSet | np.ndarray | ColumnFiles,
+    data: TraceSet | np.ndarray,
     labels: Sequence,
     poi: Sequence[int],
     *,
@@ -294,7 +272,7 @@ def fit_templates(
     trace.  Full mode demands at least ``10 * len(poi)`` traces per
     class; diagonal mode only needs two.
     """
-    matrix = data if isinstance(data, ColumnFiles) else _as_matrix(data)
+    matrix = _as_matrix(data)
     poi_sorted = np.sort(np.asarray(poi, dtype=np.int64))
     if poi_sorted.size == 0:
         raise DomainError("poi must not be empty")
@@ -363,39 +341,6 @@ def classify_batch(
     return (llr > 0.0).astype(np.int8), probabilities
 
 
-def swap_features(
-    windows: np.ndarray, labels: np.ndarray, meta: dict[str, str], cfg: SimConfig
-) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    """Profiling's first step: the envelope features of a matrix of swap
-    windows, one per row, which it overwrites; their labels; and the
-    model metadata they carry.
-
-    The envelope width and the source's variant, word count and curve
-    (read from the windows' trace meta) ride along so scoring repeats the
-    preprocessing.
-    """
-    median_samples = max(3, cfg.samples_per_event // 4)
-    trained_on = {"median_samples": str(median_samples)}
-    for key in ("variant", "word_count", "curve"):
-        if key in meta:
-            trained_on[key] = meta[key]
-    return _envelope_rows(windows, median_samples), labels, trained_on
-
-
-def fit_swap_features(
-    features: np.ndarray | ColumnFiles,
-    labels: np.ndarray,
-    trained_on: dict[str, str],
-    *,
-    poi_count: int = 64,
-    mode: str = "diag",
-) -> TemplateModel:
-    """Profiling's second step: poi by t-test strength, then templates."""
-    t_result = welch_t(features, labels)
-    poi = select_poi(t_result, min(poi_count, features.shape[1]))
-    return fit_templates(features, labels, poi, mode=mode, trained_on=trained_on)
-
-
 def fit_swap_classifier(
     train_set: TraceSet,
     cfg: SimConfig,
@@ -403,11 +348,58 @@ def fit_swap_classifier(
     poi_count: int = 64,
     mode: str = "diag",
 ) -> TemplateModel:
-    """Standard profiling pipeline for window-level training sets:
-    ``swap_features`` then ``fit_swap_features``."""
-    matrix = _as_matrix(train_set)
-    features = swap_features(matrix, train_set.labels[:, 0], train_set.traces[0].meta, cfg)
-    return fit_swap_features(*features, poi_count=poi_count, mode=mode)
+    """Standard profiling pipeline for window-level training sets: the
+    windows' envelopes, poi by t-test strength, then templates.
+
+    The envelope width and the source's variant, word count and curve
+    (read from the first trace's meta) ride along so scoring repeats the
+    preprocessing.
+    """
+    median_samples = max(3, cfg.samples_per_event // 4)
+    meta = train_set.traces[0].meta
+    trained_on = {key: meta[key] for key in ("variant", "word_count", "curve") if key in meta}
+    trained_on["median_samples"] = str(median_samples)
+    labels = train_set.labels[:, 0]
+    features = _envelope_rows(_as_matrix(train_set), median_samples)
+    poi = select_poi(welch_t(features, labels), min(poi_count, features.shape[1]))
+    return fit_templates(features, labels, poi, mode=mode, trained_on=trained_on)
+
+
+def _window_starts(
+    trace: LeakageTrace, windows: AlignedSwapWindows, multiplier: str, width: int
+) -> tuple[np.ndarray, list[int]]:
+    """A view of every ``width``-sample stretch of the trace, one per row,
+    and the rows where the aligned swap windows start.
+
+    Ladder windows end flush against the following iteration, so they
+    anchor there; double-and-add windows anchor at their start.  Each is
+    clamped into the trace: detected positions can sit a few samples off
+    at the boundaries.
+    """
+    if multiplier not in MULTIPLIERS:
+        raise ConfigError(f"unknown multiplier {multiplier!r}")
+    if len(windows) == 0:
+        raise AlignmentError("no swap windows to classify")
+    samples = trace.samples
+    if samples.size < width:
+        raise AlignmentError("trace is shorter than one swap window")
+    if multiplier == "ladder":
+        starts = [max(min(end, samples.size) - width, 0) for _, end in windows.spans]
+    else:
+        starts = [min(max(start, 0), samples.size - width) for start, _ in windows.spans]
+    return np.lib.stride_tricks.sliding_window_view(samples, width), starts
+
+
+def _estimate(guesses: np.ndarray, probabilities: np.ndarray, multiplier: str) -> NonceEstimate:
+    """Undo the swap encoding: on the ladder each condition is the XOR of
+    adjacent scalar bits, seeded at the most significant bit; with
+    double-and-add the conditions are the bits themselves."""
+    conds = tuple(guesses.tolist())
+    if multiplier == "ladder":
+        bits = tuple(np.bitwise_xor.accumulate(guesses).tolist())
+    else:
+        bits = conds
+    return NonceEstimate(bits=bits, conds=conds, probabilities=probabilities)
 
 
 def recover_nonce_bits(
@@ -416,53 +408,93 @@ def recover_nonce_bits(
     windows: AlignedSwapWindows,
     multiplier: str,
 ) -> NonceEstimate:
-    """Classify every aligned swap window and undo the swap encoding.
-
-    Ladder windows end flush against the following iteration, so slices
-    anchor there; double-and-add windows anchor at their start.  On the
-    ladder each condition is the XOR of adjacent scalar bits, seeded at
-    the most significant bit, and is unfolded back into bits; with
-    double-and-add the conditions are the bits themselves.  The envelope
-    width comes from the model metadata, so scoring repeats the
-    training preprocessing.
-    """
-    if multiplier not in MULTIPLIERS:
-        raise ConfigError(f"unknown multiplier {multiplier!r}")
-    if len(windows) == 0:
-        raise AlignmentError("no swap windows to classify")
+    """Classify every aligned swap window with a profiled model and undo
+    the swap encoding.  The window length and the envelope width come
+    from the model metadata, so scoring repeats the training
+    preprocessing."""
     width = int(model.trained_on.get("feature_length", "0"))
     if width <= 0:
         raise DomainError("model metadata lacks the training window length")
     median_samples = int(model.trained_on.get("median_samples", "0"))
     if median_samples < 3:
         raise DomainError("model metadata lacks the envelope width")
-    samples = trace.samples
-    if samples.size < width:
-        raise AlignmentError("trace is shorter than one swap window")
-    starts = []
-    for start, end in windows.spans:
-        # Anchor at the edge the aligner fixes precisely, then clamp the
-        # window into the trace; detected positions can sit a few samples
-        # off at the boundaries.
-        if multiplier == "ladder":
-            lo = max(min(end, samples.size) - width, 0)
-        else:
-            lo = min(max(start, 0), samples.size - width)
-        starts.append(lo)
+    view, starts = _window_starts(trace, windows, multiplier, width)
     # The windows are cut, reduced to envelopes in place and scored one
     # slab of rows at a time, so no matrix of all of them exists.
-    view = np.lib.stride_tricks.sliding_window_view(samples, width)
-    slabs = []
-    for lo in range(0, len(starts), _ENVELOPE_BLOCK_ROWS):
-        rows = view[starts[lo : lo + _ENVELOPE_BLOCK_ROWS]]
-        slabs.append(classify_batch(model, _envelope_rows(rows, median_samples)))
+    slabs = [
+        classify_batch(model, _envelope_rows(view[starts[lo : lo + _ENVELOPE_BLOCK_ROWS]], median_samples))
+        for lo in range(0, len(starts), _ENVELOPE_BLOCK_ROWS)
+    ]
     guesses, probabilities = (np.concatenate(part) for part in zip(*slabs))
-    conds = tuple(guesses.tolist())
-    if multiplier == "ladder":
-        bits = tuple(np.bitwise_xor.accumulate(guesses).tolist())
-    else:
-        bits = conds
-    return NonceEstimate(bits=bits, conds=conds, probabilities=probabilities)
+    return _estimate(guesses, probabilities, multiplier)
+
+
+def first_component(matrix: np.ndarray) -> np.ndarray:
+    """Unit first principal axis of a centred matrix (one sample per row),
+    by power iteration from the all-ones direction, until no coordinate
+    moves by more than ``_PC_TOLERANCE``: about ten steps on a victim
+    trace's windows, whose leakage component stands far above the noise."""
+    axis = np.full(matrix.shape[1], 1.0 / np.sqrt(matrix.shape[1]))
+    for _ in range(_PC_MAX_STEPS):
+        step = matrix.T @ (matrix @ axis)
+        norm = np.linalg.norm(step)
+        if norm == 0.0:
+            raise RecoveryFailed("the swap windows do not vary; nothing to cluster")
+        step /= norm
+        moved = np.abs(step - axis).max()
+        axis = step
+        if moved <= _PC_TOLERANCE:
+            break
+    return axis
+
+
+def two_cluster_posteriors(values: np.ndarray) -> np.ndarray:
+    """Each value's posterior for the upper cluster of a two-Gaussian
+    mixture fitted by ``_EM_STEPS`` steps of EM: per cluster a weight, a
+    mean and a variance floored at ``_EM_VARIANCE_FLOOR`` of the values'
+    own.  EM starts from a split at the median rank."""
+    n = values.size
+    if n < 2:
+        raise RecoveryFailed("clustering needs at least two swap windows")
+    resp = np.tile((1.0, 0.0), (n, 1))
+    resp[np.argsort(values, kind="stable")[n // 2 :]] = (0.0, 1.0)
+    tiny = np.finfo(np.float64).tiny
+    floor = _EM_VARIANCE_FLOOR * float(values.var()) + tiny
+    for _ in range(_EM_STEPS):
+        counts = np.maximum(resp.sum(axis=0), tiny)
+        means = values @ resp / counts
+        deviations = (values[:, None] - means) ** 2
+        variances = np.maximum(np.sum(deviations * resp, axis=0) / counts, floor)
+        log_p = np.log(counts / n) - 0.5 * np.log(variances) - 0.5 * deviations / variances
+        resp = np.exp(log_p - log_p.max(axis=1, keepdims=True))
+        resp /= resp.sum(axis=1, keepdims=True)
+    return resp[:, 1]
+
+
+def cluster_nonce_bits(
+    trace: LeakageTrace,
+    windows: AlignedSwapWindows,
+    multiplier: str,
+    width: int,
+    cfg: SimConfig,
+) -> tuple[NonceEstimate, NonceEstimate]:
+    """Split one trace's aligned swap windows into two classes with no
+    profiling: cut ``width`` samples long (a swap burst's) as
+    ``recover_nonce_bits`` cuts them, enveloped, centred, projected onto
+    their first principal component and split there by a two-Gaussian
+    mixture.  Which cluster holds the swaps is unknown, so the nonce is
+    read under both labellings, the upper cluster as cond = 1 first; the
+    caller keeps the one the public key confirms.  ``probabilities`` are
+    cluster posteriors."""
+    view, starts = _window_starts(trace, windows, multiplier, width)
+    features = _envelope_rows(view[starts], max(3, cfg.samples_per_event // 4))
+    features -= features.mean(axis=0)
+    upper = two_cluster_posteriors(features @ first_component(features))
+    guesses = (upper > 0.5).astype(np.int8)
+    return (
+        _estimate(guesses, upper, multiplier),
+        _estimate(1 - guesses, 1.0 - upper, multiplier),
+    )
 
 
 def write_model(model: TemplateModel, path: Path | str) -> None:

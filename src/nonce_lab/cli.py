@@ -9,17 +9,15 @@ artifacts alone.
 
 All randomness descends from the single root seed through labeled hash
 derivation, so outputs do not depend on ``--jobs`` or evaluation order.
-``jobs`` is the number of worker processes of ``attack`` and
-``experiment``; it defaults to ``None`` (``config.json`` echoes
-``null``), every CPU this process may run on.  At one job every task
-runs in this process.  ``simulate`` always runs in this process: its
-traces take about as long to move between processes as to make.
-``attack`` profiles in the workers while it captures and
-aligns the victim trace: each training chunk renders only the swap
-windows of its runs and reduces them to envelope features in one
-worker, and only the features come back, in a file in a temporary
-directory that the attack removes.  Wall-clock measurements never enter
-CSV or trace files; timing goes to a separate ``timing.txt``.
+``jobs`` is the number of worker processes of ``experiment``, one grid
+cell per task; it defaults to ``None`` (``config.json`` echoes
+``null``), every CPU this process may run on.  At one job every cell
+runs in this process.  Every other command runs in this process:
+``simulate``'s traces take about as long to move between processes as
+to make, and ``attack`` classifies the one victim trace by clustering
+its own swap windows (or with a ``--model``), with no profiling to hand
+out.  Wall-clock measurements never enter CSV or trace files; timing
+goes to a separate ``timing.txt``.
 
 Only the commands that handle traces import numpy and the signal
 chain, inside the command: ``keygen``, ``sign``, ``verify``, ``recover``
@@ -80,8 +78,7 @@ from .swap_impls import SwapKind, SwapVariant
 
 _VARIANTS = tuple(kind.value for kind in SwapKind)
 
-# Generation units, each under its own derived seed; fixed so the output
-# is the same for every --jobs value.
+# Generation units of simulate, each under its own derived seed.
 _WINDOW_CHUNK = 64
 _SCALAR_CHUNK = 4
 
@@ -139,7 +136,6 @@ _CONFIG_KEYS = {
     "word_count": (_optional(int), None),
     "poi_count": (int, 64),
     "template_mode": (_choice("diag", "full"), "diag"),
-    "train_count": (int, 8),
     "digest": (_optional(int), None),
     "leak_bits": (_optional(int), None),
     "strategy": (_choice("direct", "subset_retry"), "direct"),
@@ -199,7 +195,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = cast(flag)
     if values["seed"] is None:
         values["seed"] = 0
-    for name in ("jobs", "count", "train_count"):
+    for name in ("jobs", "count"):
         if values[name] is not None and values[name] < 1:
             raise ConfigError(f"{name} must be at least 1")
     if values["out"] is None:
@@ -458,63 +454,10 @@ def cmd_classify(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _training_chunk(task, path: Path):
-    import numpy as np
-
-    from .analysis import swap_features
-    from .tracesim import generate_training_windows
-
-    # Only the swap windows of the profiling runs are rendered, and only
-    # their features leave the worker.  They go through a file: the pool's
-    # pipe would hand the 11 MB to the capturing process in 64 KiB reads,
-    # each into a buffer sized for the rest of the message, while that
-    # process aligns the victim trace.  The file holds them column by column.
-    curve_name, variant, multiplier, count, cfg = task
-    windows = generate_training_windows(
-        get_curve(curve_name), variant, count, cfg, multiplier=multiplier
-    )
-    features, labels, trained_on = swap_features(*windows, cfg)
-    np.save(path, np.ascontiguousarray(features.T))
-    return path, labels, features.shape[1], trained_on
-
-
-def _fit_for_attack(
-    rc: RunConfig, seed: int, chunks: list[Future], pool: Executor, spool: Path
-):
-    """Fit the attack's model from its training chunks' features, joined
-    in chunk order, so the model is the same at any ``jobs``."""
-    import numpy as np
-
-    from .analysis import ColumnFiles, fit_swap_features
-
-    parts = [chunk.result() for chunk in chunks]
-    labels = np.concatenate([part[1] for part in parts])
-    # Each training trace draws the mostly-swap or the mostly-hold nonce;
-    # the ladder's mostly-swap nonce yields only cond = 1 windows, so when
-    # every draw picks it one class is empty.  Further chunks under their
-    # own seeds are added until both classes can be fitted: 2 windows
-    # each for diagonal templates, 10 per poi (at most one per sample)
-    # for a full covariance.
-    needed = 2 if rc.template_mode == "diag" else 10 * min(rc.poi_count, parts[0][2])
-    extra = 0
-    while np.bincount(labels, minlength=2).min() < needed:
-        (task,) = _scalars_tasks(rc, derive_seed(seed, "train", "extra", extra), _SCALAR_CHUNK)
-        parts.append(pool.submit(_training_chunk, task, spool / f"extra-{extra}.npy").result())
-        labels = np.concatenate((labels, parts[-1][1]))
-        extra += 1
-    features = ColumnFiles([part[0] for part in parts], (labels.size, parts[0][2]))
-    return fit_swap_features(
-        features, labels, parts[0][3], poi_count=rc.poi_count, mode=rc.template_mode
-    )
-
-
 def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
-    import tempfile
-
-    # Imported before the pool forks, so no worker imports them again.
-    from .analysis import read_model, recover_nonce_bits, write_model
+    from .analysis import cluster_nonce_bits, read_model, recover_nonce_bits
     from .dsp import align_swaps, write_windows_csv
-    from .tracesim import TraceSet, swap_windows, synthesize, write_trace_set
+    from .tracesim import TraceSet, swap_burst_width, swap_windows, synthesize, write_trace_set
 
     out = _out_dir(rc, "attack")
     curve = get_curve(rc.curve)
@@ -526,48 +469,47 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.model}: model was trained on {model.trained_on['curve']}, not {curve.name}"
         )
-    tasks = _scalars_tasks(rc, derive_seed(seed, "train"), rc.train_count) if model is None else []
-    # The profiling chunks run in the workers while this process captures
-    # and aligns the victim trace, which needs no model.  The pool is
-    # joined before its spool directory is removed.
-    with (
-        tempfile.TemporaryDirectory(prefix="nonce-lab-") as spool,
-        _executor(rc.jobs, len(tasks)) as pool,
-    ):
-        spool = Path(spool)
-        training = [
-            pool.submit(_training_chunk, task, spool / f"train-{i}.npy")
-            for i, task in enumerate(tasks)
-        ]
-        key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
-        rng = random.Random(derive_seed(seed, "sign"))
-        digest = rc.digest if rc.digest is not None else rng.randrange(1, curve.n)
+    key = keygen(curve, random.Random(derive_seed(seed, "keygen")))
+    rng = random.Random(derive_seed(seed, "sign"))
+    digest = rc.digest if rc.digest is not None else rng.randrange(1, curve.n)
 
-        recorder = EventRecorder()
-        swap_impl = SwapVariant(
-            SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63
-        )
-        sig, nonce = sign(digest, key, rng, rc.multiplier, swap_impl, recorder)
-        trace = synthesize(
-            recorder,
-            _sim_config(rc, derive_seed(seed, "capture")),
-            meta={
-                "curve": curve.name,
-                "variant": rc.variant,
-                "multiplier": rc.multiplier,
-            },
-        )
-        del recorder
-        truth = [w.cond for w in swap_windows(trace)]
-        flags = [[w.interfered for w in swap_windows(trace)]]
-        write_trace_set(TraceSet([trace], [truth], flags), out / "trace.trc")
-        windows = align_swaps(trace, curve, _sim_config(rc, 0), multiplier=rc.multiplier)
-        write_windows_csv(windows, out / "windows.csv")
-        if model is None:
-            model = _fit_for_attack(rc, seed, training, pool, spool)
-            write_model(model, out / "model.tmpl")
+    recorder = EventRecorder()
+    swap_impl = SwapVariant(SwapKind(rc.variant), rng_seed=derive_seed(seed, "swap") % 2**63)
+    sig, nonce = sign(digest, key, rng, rc.multiplier, swap_impl, recorder)
+    trace = synthesize(
+        recorder,
+        _sim_config(rc, derive_seed(seed, "capture")),
+        meta={
+            "curve": curve.name,
+            "variant": rc.variant,
+            "multiplier": rc.multiplier,
+        },
+    )
+    del recorder
+    truth = [w.cond for w in swap_windows(trace)]
+    flags = [[w.interfered for w in swap_windows(trace)]]
+    write_trace_set(TraceSet([trace], [truth], flags), out / "trace.trc")
+    cfg = _sim_config(rc, 0)
+    windows = align_swaps(trace, curve, cfg, multiplier=rc.multiplier)
+    write_windows_csv(windows, out / "windows.csv")
+    if model is None:
+        width = swap_burst_width(curve, rc.variant, rc.multiplier, cfg)
+        candidates = cluster_nonce_bits(trace, windows, rc.multiplier, width, cfg)
+    else:
+        candidates = (recover_nonce_bits(trace, model, windows, rc.multiplier),)
 
-    estimate = recover_nonce_bits(trace, model, windows, rc.multiplier)
+    # Decided from the public key alone: only the counters below read the
+    # simulation's ground truth.  The first candidate that yields the key
+    # is reported, else the first.
+    estimate, recovered = candidates[0], False
+    for candidate in candidates:
+        try:
+            guess_d = recover_private_key(sig, candidate.value, curve)
+        except DomainError:
+            continue
+        if fast_multiply(guess_d, curve.generator, curve) == key.Q:
+            estimate, recovered = candidate, True
+            break
 
     width = curve.n.bit_length()
     true_bits = [(nonce.k.value >> (width - 1 - i)) & 1 for i in range(width)]
@@ -596,20 +538,12 @@ def cmd_attack(rc: RunConfig, args: argparse.Namespace) -> int:
                     f"{estimate.probabilities[i]:.6f}",
                 )
             )
-
-    # Decided from the public key alone: only the counters above read the
-    # simulation's ground truth.
-    try:
-        guess_d = recover_private_key(sig, estimate.value, curve)
-    except DomainError:
-        recovered = False
-    else:
-        recovered = fast_multiply(guess_d, curve.generator, curve) == key.Q
     _write_json(
         out / "summary.json",
         {
             "bits_total": width,
             "bits_correct": bits_correct,
+            "classifier": "cluster" if model is None else "templates",
             "conds_correct": conds_correct,
             "key_recovered": recovered,
         },
@@ -709,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--multiplier", choices=MULTIPLIERS, help="scalar multiplier")
     common.add_argument(
         "--jobs", type=int,
-        help="worker processes of attack and experiment (default: every usable CPU)",
+        help="worker processes of experiment (default: every usable CPU)",
     )
     common.add_argument("--out", metavar="DIR", help="output directory")
 

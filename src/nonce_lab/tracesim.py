@@ -218,9 +218,8 @@ def _carrier(
 ) -> np.ndarray:
     """cos(2*pi*f_mod*i/sample_rate) for i in s:s+width, one row per start
     s (int64 bytes; 0 alone by default), read-only.  Each entry is one
-    block of whole rows: the uninterrupted profiling runs of one curve and
-    variant share their swap windows' positions (six blocks on secp521r1),
-    the traces of a campaign their start, so the entries serve them all."""
+    block of whole rows: the traces of a campaign share their start, so
+    an entry serves them all."""
     lo = np.frombuffer(starts, np.int64)
     carrier = np.empty((lo.size, width))
     np.add(lo[:, None], np.arange(width), out=carrier)
@@ -313,15 +312,6 @@ def _burst_spans(cfg: SimConfig, n: int):
         stop = min(n, start + int(round(len_frac * n)))
         if stop > start:
             yield start, stop, amplitude
-
-
-def _covered(lo: np.ndarray, hi: np.ndarray, cfg: SimConfig, n: int) -> np.ndarray:
-    """Whether an interference burst overlaps each span ``lo:hi`` of a
-    trace of n samples."""
-    covered = np.zeros(lo.shape, dtype=bool)
-    for start, stop, _ in _burst_spans(cfg, n):
-        covered |= (lo < stop) & (hi > start)
-    return covered
 
 
 def _render(
@@ -433,7 +423,9 @@ def synthesize(
     layout = _layout(kinds, leaks, cfg, rng)
     n = int(layout.edges[-1])
     samples = _render(layout, np.array([[0, n]]), cfg, rng)[0]
-    flagged = _covered(layout.starts, layout.ends, cfg, n)
+    flagged = np.zeros(layout.starts.shape, dtype=bool)
+    for start, stop, _ in _burst_spans(cfg, n):
+        flagged |= (layout.starts < stop) & (layout.ends > start)
     markers = MarkerTable(layout.starts, layout.ends, kinds, conds, flagged)
     return LeakageTrace(
         samples=samples, sample_rate=cfg.sample_rate, markers=markers,
@@ -544,14 +536,6 @@ def _training_runs(
         yield recorder
 
 
-def _training_meta(curve: CurveParams, variant, multiplier: str) -> dict[str, str]:
-    return {
-        "curve": curve.name,
-        "variant": _variant_kind(variant).value,
-        "multiplier": multiplier,
-    }
-
-
 def generate_training_set(
     curve: CurveParams,
     variant: SwapVariant | SwapKind | str,
@@ -572,7 +556,7 @@ def generate_training_set(
         raise DomainError("count must be at least 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    meta = _training_meta(curve, variant, multiplier)
+    meta = {"curve": curve.name, "variant": _variant_kind(variant).value, "multiplier": multiplier}
     width = curve.n.bit_length()
     traces: list[LeakageTrace] = []
     labels = np.empty((count, width), dtype=np.int8)
@@ -588,53 +572,20 @@ def generate_training_set(
     return TraceSet(traces, labels, interfered)
 
 
-def generate_training_windows(
-    curve: CurveParams,
-    variant: SwapVariant | SwapKind | str,
-    count: int,
-    cfg: SimConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    multiplier: str = "ladder",
-) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    """The swap windows of ``generate_training_set``'s runs, rendered
-    without the rest of each trace: one row per window, its labels, and
-    the meta its traces would carry.
-
-    The runs are drawn as there, and each is rendered from the same
-    layout, but only at its swap bursts, so its noise covers just those
-    samples; at ``noise_sigma`` 0 the rows equal the windows cut from
-    the full traces.  A window that an interference burst overlaps, or
-    that an interruption gap splits, is left out.
-    """
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    bits = curve.n.bit_length()
-    parts: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for recorder in _training_runs(curve, variant, count, rng, multiplier):
-        kinds, leaks, conds = _event_columns(recorder)
-        layout = _layout(kinds, leaks, cfg, rng)
-        first, stop = _swap_bursts(kinds, conds)
-        if first.size != bits:
-            raise DomainError("scalar multiplication recorded a short schedule")
-        spans = np.stack((layout.starts[first], layout.ends[stop - 1]), axis=1)
-        # An interruption leaves a gap between two events; a burst it
-        # splits is longer than the others.
-        gaps = np.flatnonzero(layout.starts[1:] > layout.ends[:-1]) + 1
-        keep = ~((first[:, None] < gaps) & (gaps < stop[:, None])).any(axis=1)
-        keep &= ~_covered(spans[:, 0], spans[:, 1], cfg, int(layout.edges[-1]))
-        if keep.any():
-            parts.append(_render(layout, spans[keep], cfg, rng))
-            labels.append(conds[first[keep]])
-    if not parts:
-        raise DomainError("no usable swap windows to harvest")
-    if len({part.shape[1] for part in parts}) > 1:
-        raise DomainError("traces must share one length to form a matrix")
-    meta = _training_meta(curve, variant, multiplier)
-    return np.concatenate(parts), np.concatenate(labels), meta
+def swap_burst_width(
+    curve: CurveParams, variant: SwapVariant | SwapKind | str, multiplier: str, cfg: SimConfig
+) -> int:
+    """Samples of one conditional swap of ``variant`` inside ``multiplier``
+    on ``curve``, the width of every swap window no interruption splits,
+    read off a one-bit scalar multiplication: a swap's events do not
+    depend on its operands."""
+    recorder = EventRecorder()
+    base = ProjectivePoint.from_affine(*curve.generator, curve.field)
+    swap = SwapVariant(_variant_kind(variant), rng_seed=0)
+    traced_multiply(multiplier, Scalar(1, 1), base, curve, swap, recorder)
+    kinds, _, conds = _event_columns(recorder)
+    first, stop = _swap_bursts(kinds, conds)
+    return int((cfg.samples_per_event // _DIVISORS)[kinds[first[0] : stop[0]]].sum())
 
 
 def generate_swap_windows(
@@ -799,28 +750,28 @@ def read_trace_set(path: Path | str) -> TraceSet:
             raise DomainError(f"unsupported trace file version {version}")
         check_file_size(fh, header_size + meta_len + 4 * count * width, path)
         meta = parse_meta(fh.read(meta_len), path)
-        payload = np.frombuffer(fh.read(4 * count * width), dtype="<f4")
-    rows = payload.reshape(count, width).astype(np.float64)
-    if not np.isfinite(rows).all():
-        raise DomainError(f"{path} holds NaN or infinite samples")
-
-    lengths = [width] * count
-    if "trace_lengths" in meta:
-        try:
-            lengths = [int(v) for v in meta["trace_lengths"].split(",")]
-        except ValueError:
-            raise DomainError(f"{path}: trace_lengths meta is not integers") from None
-        if len(lengths) != count or any(not 0 < n <= width for n in lengths):
-            raise DomainError("trace_lengths meta disagrees with the payload")
-    traces = [
-        LeakageTrace(
-            samples=rows[i, : lengths[i]].copy(),
-            sample_rate=rate,
-            markers=MarkerTable.empty(),
-            meta=dict(meta),
-        )
-        for i in range(count)
-    ]
+        lengths = [width] * count
+        if "trace_lengths" in meta:
+            try:
+                lengths = [int(v) for v in meta["trace_lengths"].split(",")]
+            except ValueError:
+                raise DomainError(f"{path}: trace_lengths meta is not integers") from None
+            if len(lengths) != count or any(not 0 < n <= width for n in lengths):
+                raise DomainError("trace_lengths meta disagrees with the payload")
+        # Each row goes a block at a time through one float32 buffer into
+        # its trace's own float64 array; the padding is checked and dropped.
+        buffer = np.empty(max(1, min(width, _NOISE_BLOCK)), dtype="<f4")
+        traces = []
+        for length in lengths:
+            samples = np.empty(length)
+            for lo in range(0, width, buffer.size):
+                block = buffer[: width - lo]
+                fh.readinto(block)
+                if not np.isfinite(block).all():
+                    raise DomainError(f"{path} holds NaN or infinite samples")
+                kept = block[: max(0, length - lo)]
+                samples[lo : lo + kept.size] = kept
+            traces.append(LeakageTrace(samples, rate, MarkerTable.empty(), dict(meta)))
 
     sidecar = labels_path(path)
     if not sidecar.exists():

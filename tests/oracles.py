@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import median_filter
 
-from nonce_lab import swap_impls
+from nonce_lab import swap_impls, tracesim
 from nonce_lab.errors import DomainError
 from nonce_lab.events import KIND_BY_CODE, WORD_BITS, EventRecorder, OpKind
 from nonce_lab.ff_curve import Field, ProjectivePoint, _affine_point, _recover_y
@@ -797,3 +797,71 @@ def window_by_window_campaign(variant, word_count, conds, cfg, rng):
         meta = {"variant": kind.value, "word_count": str(word_count)}
         traces.append(synthesize(recorder, cfg, rng, meta=meta))
     return TraceSet(traces, np.asarray(conds, dtype=np.int8).reshape(-1, 1))
+
+
+def generate_training_windows(curve, variant, count, cfg, rng=None, *, multiplier="ladder"):
+    """The swap windows of ``generate_training_set``'s runs, rendered
+    without the rest of each trace: one row per window, its labels, and
+    the meta its traces would carry.
+
+    The runs are drawn as there, and each is rendered from the same
+    layout by ``tracesim._render``, but only at its swap bursts, so its
+    noise covers just those samples; at ``noise_sigma`` 0 the rows equal
+    the windows cut from the full traces.  A window that an interference
+    burst overlaps, or that an interruption gap splits, is left out.  It
+    shares the layout and renderer with the package; what it checks is
+    the renderer on spans that start inside a trace.
+    """
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    parts, labels = [], []
+    for recorder in tracesim._training_runs(curve, variant, count, rng, multiplier):
+        kinds, leaks, conds = tracesim._event_columns(recorder)
+        layout = tracesim._layout(kinds, leaks, cfg, rng)
+        first, stop = tracesim._swap_bursts(kinds, conds)
+        spans = np.stack((layout.starts[first], layout.ends[stop - 1]), axis=1)
+        # An interruption leaves a gap between two events; a burst it
+        # splits is longer than the others.
+        gaps = np.flatnonzero(layout.starts[1:] > layout.ends[:-1]) + 1
+        keep = ~((first[:, None] < gaps) & (gaps < stop[:, None])).any(axis=1)
+        for start, stop, _ in tracesim._burst_spans(cfg, int(layout.edges[-1])):
+            keep &= (spans[:, 0] >= stop) | (spans[:, 1] <= start)
+        if keep.any():
+            parts.append(tracesim._render(layout, spans[keep], cfg, rng))
+            labels.append(conds[first[keep]])
+    meta = {"curve": curve.name, "variant": SwapKind(variant).value, "multiplier": multiplier}
+    return np.concatenate(parts), np.concatenate(labels), meta
+
+
+def svd_first_component(matrix):
+    """First right singular vector of ``matrix``, by ``np.linalg.svd``."""
+    return np.linalg.svd(matrix, full_matrices=False)[2][0]
+
+
+def textbook_two_gaussian_em(values, steps, floor_fraction=1e-6):
+    """Upper-cluster posteriors of a two-Gaussian mixture, by textbook EM
+    over plain floats, one value at a time: per-cluster weight, mean and
+    variance (floored at ``floor_fraction`` of the values' variance),
+    started from the upper half of the ranks as the upper cluster.  Needs
+    every value within reach of one cluster's density."""
+    values = [float(v) for v in values]
+    n = len(values)
+    upper = set(sorted(range(n), key=lambda i: values[i])[n // 2 :])
+    resp = [1.0 if i in upper else 0.0 for i in range(n)]
+    mean = sum(values) / n
+    floor = floor_fraction * sum((v - mean) ** 2 for v in values) / n
+    for _ in range(steps):
+        clusters = []
+        for r in ([1.0 - x for x in resp], resp):
+            weight = sum(r)
+            mu = sum(ri * v for ri, v in zip(r, values)) / weight
+            var = max(sum(ri * (v - mu) ** 2 for ri, v in zip(r, values)) / weight, floor)
+            clusters.append((weight / n, mu, var))
+        resp = []
+        for v in values:
+            lower, higher = (
+                w / math.sqrt(2.0 * math.pi * var) * math.exp(-((v - mu) ** 2) / (2.0 * var))
+                for w, mu, var in clusters
+            )
+            resp.append(higher / (lower + higher))
+    return np.array(resp)

@@ -2,35 +2,41 @@
 
 import ast
 import math
-import mmap
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nonce_lab import analysis
 from nonce_lab.analysis import (
     LEAK_THRESHOLD,
-    ColumnFiles,
     TTestResult,
     TemplateModel,
-    _as_matrix,
     classify_batch,
+    cluster_nonce_bits,
     export_t_csv,
     feature_matrix,
+    first_component,
     fit_swap_classifier,
-    fit_swap_features,
     fit_templates,
     harvest_swap_windows,
     read_model,
     recover_nonce_bits,
     select_poi,
-    swap_features,
+    two_cluster_posteriors,
     welch_t,
     write_model,
 )
 from nonce_lab.dsp import align_swaps, rectified_envelope
-from nonce_lab.errors import AlignmentError, ConfigError, DomainError, NonceLabError, StatError
+from nonce_lab.errors import (
+    AlignmentError,
+    ConfigError,
+    DomainError,
+    NonceLabError,
+    RecoveryFailed,
+    StatError,
+)
 from nonce_lab.events import EventRecorder
 from nonce_lab.ff_curve import ProjectivePoint, Scalar, double_and_always_add, montgomery_ladder
 from nonce_lab.swap_impls import SwapKind, SwapVariant
@@ -39,12 +45,12 @@ from nonce_lab.tracesim import (
     TraceSet,
     generate_swap_windows,
     generate_training_set,
-    generate_training_windows,
+    swap_burst_width,
     swap_windows,
     synthesize,
 )
 
-from oracles import per_window_estimate
+from oracles import per_window_estimate, svd_first_component, textbook_two_gaussian_em
 
 
 def blob_data(seed=11, n=200):
@@ -189,10 +195,8 @@ def test_full_mode_distances_match_cho_solve():
 
     conds = np.random.default_rng(0).permutation(np.repeat([0, 1], 700)).tolist()
     campaign = generate_swap_windows("plain", 9, conds, SimConfig(seed=5))
-    features, labels, meta = swap_features(
-        _as_matrix(campaign), campaign.labels[:, 0], campaign.traces[0].meta, SimConfig()
-    )
-    model = fit_swap_features(features, labels, meta, poi_count=64, mode="full")
+    model = fit_swap_classifier(campaign, SimConfig(), poi_count=64, mode="full")
+    features = feature_matrix(campaign, int(model.trained_on["median_samples"]))
     deltas = features[:, model.poi] - model.mean1
     want = np.sum(deltas * linalg.cho_solve(linalg.cho_factor(model.cov), deltas.T).T, axis=-1)
     np.testing.assert_allclose(model._mahalanobis(deltas), want, rtol=1e-12, atol=0.0)
@@ -573,7 +577,7 @@ def test_unknown_multiplier_is_rejected(toy):
     with pytest.raises(NonceLabError):
         align_swaps(trace, toy, cfg, "window")
     with pytest.raises(NonceLabError):
-        generate_training_windows(toy, SwapKind.PLAIN, 2, cfg, multiplier="window")
+        generate_training_set(toy, SwapKind.PLAIN, 2, cfg, multiplier="window")
     aligned = align_swaps(trace, toy, cfg, "ladder")
     model = TemplateModel(
         poi=[0], mean0=[0.0], mean1=[1.0], cov=[1.0], mode="diag",
@@ -601,27 +605,55 @@ def test_recover_rejects_empty_windows(toy):
         recover_nonce_bits(trace, model, empty, "ladder")
 
 
+def victim_envelopes(curve, k, sigma, seed):
+    """A victim trace's aligned windows, cut and enveloped as
+    ``cluster_nonce_bits`` cuts them and centred, with its ground truth."""
+    cfg = SimConfig(noise_sigma=sigma, seed=seed)
+    trace = attack_trace(curve, k, cfg, seed=seed)
+    aligned = align_swaps(trace, curve, cfg, "ladder")
+    width = swap_burst_width(curve, "plain", "ladder", cfg)
+    view, starts = analysis._window_starts(trace, aligned, "ladder", width)
+    features = analysis._envelope_rows(view[starts], max(3, cfg.samples_per_event // 4))
+    return trace, aligned, features - features.mean(axis=0)
 
-def test_column_files_read_columns_without_mapping(tmp_path, monkeypatch):
-    """``ColumnFiles[:, cols]`` is the joined matrix's columns, read with
-    plain file reads: nothing is mapped or loaded whole."""
-    matrix = np.random.default_rng(0).standard_normal((300, 40))
-    paths = []
-    for i, (lo, hi) in enumerate(((0, 120), (120, 121), (121, 300))):
-        paths.append(tmp_path / f"part-{i}.npy")
-        np.save(paths[-1], np.ascontiguousarray(matrix[lo:hi].T))
-    files = ColumnFiles(paths, matrix.shape)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a column file was mapped or loaded")
+@pytest.mark.parametrize("sigma", [2.0, 5.0])
+def test_power_iteration_matches_the_svd_component(p128, sigma):
+    k = int(np.random.default_rng(4).integers(1, 2**62)) * 2**60 + 12345
+    _, _, features = victim_envelopes(p128, k, sigma, seed=31)
+    got = first_component(features)
+    want = svd_first_component(features)
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+    assert abs(float(got @ want)) >= 0.9999
 
-    monkeypatch.setattr(mmap, "mmap", refuse)
-    monkeypatch.setattr(np, "load", refuse)
-    for cols in (slice(0, 40), slice(7, 8), slice(5, 29), np.array([0, 1, 2, 9, 17, 18, 39]), np.array([3])):
-        got = files[:, cols]
-        assert got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(matrix[:, cols]).tobytes()
-    with open(paths[2], "r+b") as fh:
-        fh.truncate(fh.seek(0, 2) - 8)
-    with pytest.raises(DomainError, match="truncated"):
-        files[:, np.array([0, 39])]
+
+def test_em_posteriors_match_the_textbook_oracle():
+    rng = np.random.default_rng(17)
+    values = np.concatenate((rng.normal(-2.0, 1.0, 150), rng.normal(3.0, 0.5, 250)))
+    values = rng.permutation(values)
+    got = two_cluster_posteriors(values)
+    want = textbook_two_gaussian_em(values, analysis._EM_STEPS)
+    assert ((got > 0.5) == (want > 0.5)).all()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    assert ((got > 0.5) == (values > 0.5)).mean() > 0.98
+
+
+def test_clustering_reads_the_conds_under_one_labelling(p128):
+    k = 0x5A5A_F00D_1234_5678_9ABC_DEF0_1357_9BDF % p128.n
+    trace, aligned, _ = victim_envelopes(p128, k, 4.0, seed=8)
+    truth = [w.cond for w in swap_windows(trace)]
+    width = swap_burst_width(p128, "plain", "ladder", SimConfig())
+    first, second = cluster_nonce_bits(trace, aligned, "ladder", width, SimConfig())
+    assert [1 - c for c in first.conds] == list(second.conds)
+    assert np.array_equal(first.probabilities + second.probabilities, np.ones(len(truth)))
+    assert truth in (list(first.conds), list(second.conds))
+    assert k in (first.value, second.value)
+
+
+def test_clustering_degenerate_inputs_are_recovery_failures():
+    with pytest.raises(RecoveryFailed):
+        first_component(np.zeros((5, 3)))
+    with pytest.raises(RecoveryFailed):
+        two_cluster_posteriors(np.array([1.0]))
+    # Identical values stay finite under the variance floor.
+    assert np.isfinite(two_cluster_posteriors(np.zeros(6))).all()

@@ -1,7 +1,6 @@
 """Command-line behavior: config resolution, artifacts, determinism."""
 
 import concurrent.futures
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -10,19 +9,28 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nonce_lab
-from nonce_lab import cli, dsp
+from nonce_lab import cli, dsp, tracesim
 from nonce_lab.cli import derive_seed, main, resolve_config, build_parser
-from nonce_lab.analysis import fit_swap_features, read_model, write_model
+from nonce_lab.analysis import fit_swap_classifier, harvest_swap_windows, read_model, write_model
 from nonce_lab.errors import AlignmentError
+from nonce_lab.ff_curve import get_curve
 from nonce_lab.ecdsa import keygen, read_private_key, sign, write_private_key, write_signatures
-from nonce_lab.tracesim import TRACE_MAGIC, TRACE_VERSION, labels_path, read_trace_set
+from nonce_lab.simconfig import SimConfig
+from nonce_lab.tracesim import (
+    TRACE_MAGIC,
+    TRACE_VERSION,
+    LeakageTrace,
+    generate_training_set,
+    labels_path,
+    read_trace_set,
+    training_nonces,
+)
 
 
 def run_cli(*argv):
@@ -99,6 +107,16 @@ def test_integer_commands_load_no_numpy(tmp_path, toy, command):
     assert out.splitlines()[-1] == "0 [] []"
 
 
+def test_attack_starts_no_process_pool(tmp_path):
+    cfg = write_config(tmp_path / "atk.json", samples_per_event=16, noise_sigma=0.0, seed=4)
+    probe = (
+        "import sys; from nonce_lab.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+    )
+    argv = ["attack", "--curve", "toy16", "--config", cfg, "--out", tmp_path / "out"]
+    assert run_fresh(probe, *argv).splitlines()[-1] == "0 []"
+
+
 def write_config(path, **values):
     path.write_text(json.dumps(values))
     return str(path)
@@ -162,7 +180,6 @@ ECHOED_CONFIG = """\
   "snr_scale": 0.25,
   "strategy": "direct",
   "template_mode": "diag",
-  "train_count": 8,
   "trials": 100,
   "variant": "plain",
   "version": "0.1.0",
@@ -228,11 +245,13 @@ class TestConfigResolution:
             resolve_config(self.parse("keygen"))
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", noise_sgima=1.0)
-        assert run_cli("keygen", "--config", cfg, "--out", tmp_path / "o") == 1
-        err = capsys.readouterr().err
-        assert "error: config:" in err
-        assert "noise_sgima" in err
+        # train_count sized the profiling that attack no longer runs.
+        for key in ("noise_sgima", "train_count"):
+            cfg = write_config(tmp_path / "c.json", **{key: 8})
+            assert run_cli("keygen", "--config", cfg, "--out", tmp_path / "o") == 1
+            err = capsys.readouterr().err
+            assert "error: config:" in err
+            assert key in err
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", variant="stealth")
@@ -273,6 +292,7 @@ class TestConfigResolution:
         [
             (["simulate", "--count", 0], {}),
             (["simulate", "--count", -3], {}),
+            # No longer a key: rejected as any unknown key is.
             (["attack", "--curve", "secp128r1"], {"train_count": 0}),
             (["attack", "--curve", "secp128r1"], {"train_count": -2}),
         ],
@@ -562,45 +582,27 @@ class TestSimulatePipeline:
         assert "error: io:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["diag", "full"])
-def test_attack_fit_reads_a_few_columns_at_a_time(tmp_path, mode):
-    # The model fitted from the chunk files equals the fit of their joined
-    # matrix, which the fit itself never holds.
-    args = build_parser().parse_args(["attack", "--curve", "secp521r1", "--seed", "5"])
-    rc = dataclasses.replace(resolve_config(args), template_mode=mode, poi_count=8)
-    inline = cli._InlineExecutor()
-    chunks = [
-        inline.submit(cli._training_chunk, task, tmp_path / f"train-{i}.npy")
-        for i, task in enumerate(cli._scalars_tasks(rc, 5, 3 * cli._SCALAR_CHUNK))
-    ]
-    parts = [chunk.result() for chunk in chunks]
-    features = np.vstack([np.load(path).T for path, *_ in parts])
-    labels = np.concatenate([part[1] for part in parts])
-    want = fit_swap_features(features, labels, parts[0][3], poi_count=8, mode=mode)
-    tracemalloc.start()
-    try:
-        got = cli._fit_for_attack(rc, 5, chunks, inline, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < features.nbytes / 2
-    for name in ("poi", "mean0", "mean1", "cov"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert got.trained_on == want.trained_on
+def profiled_model(path, curve, count, *, variant="plain", mode="diag", **sim):
+    """A model fitted on ``count`` profiling runs, written to ``path``:
+    ``generate_training_set``, ``harvest_swap_windows``, then
+    ``fit_swap_classifier``, as the acceptance test profiles."""
+    cfg = SimConfig(seed=7000, **sim)
+    runs = generate_training_set(get_curve(curve), variant, count, cfg)
+    write_model(fit_swap_classifier(harvest_swap_windows(runs), cfg, mode=mode), path)
+    return path
 
 
 class TestAttack:
     def attack_config(self, tmp_path, **extra):
         values = dict(
-            samples_per_event=16, noise_sigma=0.0, train_count=24,
-            curve="toy16", variant="plain", seed=4,
+            samples_per_event=16, noise_sigma=0.0, curve="toy16", variant="plain", seed=4,
         )
         values.update(extra)
         return write_config(tmp_path / "atk.json", **values)
 
     def attack_outputs(self, tmp_path, *argv):
-        # Training chunks run in worker processes while the victim trace
-        # is captured and aligned; none of that may show in the outputs.
+        # The attack runs in this process at any --jobs; its outputs may
+        # not depend on it.
         runs = {}
         for name, jobs in (("one", ["--jobs", 1]), ("two", ["--jobs", 2]), ("default", [])):
             out = tmp_path / name
@@ -609,6 +611,7 @@ class TestAttack:
         return runs["one"]
 
     def test_noiseless_attack_recovers_key(self, tmp_path, capsys):
+        # toy16 has only 17 swap windows to cluster.
         cfg = self.attack_config(tmp_path)
         out = tmp_path / "atk"
         assert run_cli("attack", "--config", cfg, "--out", out) == 0
@@ -618,6 +621,7 @@ class TestAttack:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["key_recovered"] is True
         assert summary["bits_correct"] == summary["bits_total"] == 17
+        assert summary["classifier"] == "cluster"
         header = (out / "attack.csv").read_text().splitlines()[0]
         assert header == "window_index,cond_guess,cond_true,bit_guess,bit_true,probability"
 
@@ -637,23 +641,18 @@ class TestAttack:
 
     def test_attack_with_pretrained_model(self, tmp_path):
         cfg = self.attack_config(tmp_path)
-        first = tmp_path / "first"
-        assert run_cli("attack", "--config", cfg, "--out", first) == 0
-        again = tmp_path / "again"
-        assert run_cli(
-            "attack", "--config", cfg, "--model", first / "model.tmpl",
-            "--out", again,
-        ) == 0
-        assert not (again / "model.tmpl").exists()
-        assert (again / "summary.json").read_bytes() == (
-            first / "summary.json"
-        ).read_bytes()
+        model = profiled_model(tmp_path / "model.tmpl", "toy16", 24, samples_per_event=16, noise_sigma=0.0)
+        clustered, profiled = tmp_path / "clustered", tmp_path / "profiled"
+        assert run_cli("attack", "--config", cfg, "--out", clustered) == 0
+        assert run_cli("attack", "--config", cfg, "--model", model, "--out", profiled) == 0
+        assert not (profiled / "model.tmpl").exists()
+        summaries = [json.loads((out / "summary.json").read_text()) for out in (clustered, profiled)]
+        assert [s.pop("classifier") for s in summaries] == ["cluster", "templates"]
+        assert summaries[0] == summaries[1]
 
     def test_model_for_another_curve_is_config_error(self, tmp_path, capsys):
         cfg = self.attack_config(tmp_path)
-        first = tmp_path / "first"
-        assert run_cli("attack", "--config", cfg, "--out", first) == 0
-        model = first / "model.tmpl"
+        model = profiled_model(tmp_path / "model.tmpl", "toy16", 24, samples_per_event=16, noise_sigma=0.0)
         capsys.readouterr()
         assert run_cli(
             "attack", "--config", cfg, "--curve", "secp128r1", "--model", model,
@@ -669,25 +668,47 @@ class TestAttack:
             "attack", "--config", cfg, "--model", model, "--out", tmp_path / "again"
         ) == 0
 
-    def test_attack_survives_one_class_training_draw(self, tmp_path):
-        # All eight training draws at this seed pick the mostly-swap
-        # nonce, whose ladder windows are all cond = 1, so the fit waits
-        # for an extra chunk from the pool.
-        code, _ = self.attack_outputs(
-            tmp_path, "--curve", "secp521r1", "--seed", 8501952792049665477
+    def test_one_class_victim_ends_in_recovery_error(self, tmp_path, monkeypatch, capsys):
+        # The mostly-swap nonce makes every ladder cond 1, so the clusters
+        # split the noise: neither labelling yields the key.
+        swap_nonce, _ = training_nonces(get_curve("secp521r1"))
+        real_sign = cli.sign
+
+        class MostlySwap(random.Random):
+            def randrange(self, *args):
+                return swap_nonce.value
+
+        monkeypatch.setattr(
+            cli, "sign", lambda z, key, rng, *rest: real_sign(z, key, MostlySwap(), *rest)
         )
-        assert code in (0, 2)
+        out = tmp_path / "o"
+        assert run_cli("attack", "--curve", "secp521r1", "--seed", 3, "--out", out) == 2
+        assert_one_error_line(capsys, "recovery")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["key_recovered"] is False and summary["conds_correct"] < 521
+
+    def test_structureless_victim_is_alignment_error(self, tmp_path, monkeypatch, capsys):
+        real_synthesize = tracesim.synthesize
+
+        def noise_only(*args, **kwargs):
+            trace = real_synthesize(*args, **kwargs)
+            samples = np.random.default_rng(0).standard_normal(trace.samples.size)
+            return LeakageTrace(samples, trace.sample_rate, trace.markers, trace.meta)
+
+        monkeypatch.setattr(tracesim, "synthesize", noise_only)
+        assert run_cli("attack", "--curve", "secp128r1", "--seed", 4, "--out", tmp_path / "o") == 2
+        assert_one_error_line(capsys, "alignment")
 
     def test_full_template_attack_profiles_enough_windows(self, tmp_path):
-        # Eight profiling runs on secp128r1 hold fewer windows per class
-        # than a full covariance over 64 poi needs; extra chunks make up
-        # the difference.
-        cfg = write_config(tmp_path / "full.json", template_mode="full")
-        code, _ = self.attack_outputs(
-            tmp_path, "--curve", "secp128r1", "--seed", 5, "--config", cfg
+        # A full covariance over 64 poi needs 640 windows per class: 24
+        # profiling runs on secp128r1 hold about 1,500.
+        model = profiled_model(tmp_path / "full.tmpl", "secp128r1", 24, mode="full")
+        assert read_model(model).mode == "full"
+        code, blobs = self.attack_outputs(
+            tmp_path, "--curve", "secp128r1", "--seed", 5, "--model", model
         )
         assert code in (0, 2)
-        assert read_model(tmp_path / "one/model.tmpl").mode == "full"
+        assert b'"classifier": "templates"' in blobs["summary.json"]
 
     def test_attack_daa_multiplier(self, tmp_path):
         cfg = self.attack_config(tmp_path, multiplier="daa")
@@ -698,22 +719,23 @@ class TestAttack:
         cfg = self.attack_config(tmp_path, multiplier=multiplier)
         code, blobs = self.attack_outputs(tmp_path, "--config", cfg)
         assert code == 0
-        assert {"trace.trc", "model.tmpl", "windows.csv", "attack.csv", "summary.json"} <= set(blobs)
+        assert set(blobs) == {
+            "trace.trc", "trace.labels.csv", "windows.csv", "attack.csv", "summary.json", "config.json"
+        }
         assert b'"jobs": null' in (tmp_path / "default/config.json").read_bytes()
 
     def test_interruptions_leave_profiling_running(self, tmp_path):
-        # Every run splices in a silent gap.  A training window that a gap
-        # splits is longer than the rest; profiling leaves it out instead
-        # of failing to form its matrix, so the attack reaches a verdict.
+        # The victim run splices in a silent gap, which the aligner and
+        # the clustering must take in their stride: the attack reaches a
+        # verdict.
         cfg = self.attack_config(tmp_path, interruption_prob=1.0)
         code, blobs = self.attack_outputs(tmp_path, "--config", cfg)
         assert code in (0, 2)
-        assert {"model.tmpl", "attack.csv", "summary.json"} <= set(blobs)
+        assert {"attack.csv", "summary.json"} <= set(blobs)
 
     @pytest.mark.parametrize("aligns", [True, False])
     def test_training_spool_is_removed(self, tmp_path, monkeypatch, aligns):
-        # The workers hand their features over in files; the directory
-        # holding them goes when the attack ends, whichever way.
+        # The attack makes no temporary files, whichever way it ends.
         spool_root = tmp_path / "tmp"
         spool_root.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
@@ -755,22 +777,6 @@ class TestAttack:
         assert changed.size > 0 and start <= changed.min() and changed.max() < stop
         assert np.array_equal(clean.labels, jammed.labels)
         assert not clean.interfered.any() and 0 < jammed.interfered.sum() < jammed.interfered.size
-
-    def test_worker_error_reads_the_same_at_any_jobs(self, tmp_path, capsys):
-        # Every training window lies under the burst, so each chunk
-        # worker's harvest finds nothing to keep; the victim capture is
-        # jammed too, but faintly enough to align.
-        cfg = self.attack_config(tmp_path, interference=[[0.0, 1.0, 1.0]])
-        errors = []
-        for jobs in (1, 2):
-            out = tmp_path / f"j{jobs}"
-            assert run_cli("attack", "--config", cfg, "--jobs", jobs, "--out", out) == 1
-            errors.append(capsys.readouterr().err.splitlines())
-            assert (out / "windows.csv").exists() and not (out / "model.tmpl").exists()
-        assert errors[0] == errors[1]
-        assert len(errors[0]) == 1
-        assert errors[0][0] == "error: input: no usable swap windows to harvest"
-        assert multiprocessing.active_children() == []
 
 
 class TestRecoverCommand:

@@ -1,6 +1,7 @@
 """Waveform synthesis checks: envelopes, markers, files, determinism."""
 
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +28,22 @@ from nonce_lab.tracesim import (
     TraceSet,
     generate_swap_windows,
     generate_training_set,
-    generate_training_windows,
     labels_path,
     read_trace_set,
+    swap_burst_width,
     swap_windows,
     synthesize,
     training_nonces,
     write_trace_set,
 )
 
-from oracles import burst_overlay, marker_columns, whole_render, window_by_window_campaign
+from oracles import (
+    burst_overlay,
+    generate_training_windows,
+    marker_columns,
+    whole_render,
+    window_by_window_campaign,
+)
 
 
 def quiet_cfg(**overrides):
@@ -527,6 +534,26 @@ def test_trace_file_preserves_ragged_lengths(tmp_path, toy):
     ]
 
 
+@pytest.mark.parametrize("lengths", [[1_133_696], [70_000, 131_072, 5]], ids=["victim", "ragged"])
+def test_reading_a_trace_file_peaks_near_what_it_keeps(tmp_path, lengths):
+    """Each trace's float64 array is filled straight from the file's
+    float32 rows, a block at a time: no payload-wide copy exists."""
+    rng = np.random.default_rng(0)
+    traces = [LeakageTrace(rng.standard_normal(n), 2.5e6, MarkerTable.empty(), {}) for n in lengths]
+    path = tmp_path / "t.trc"
+    write_trace_set(TraceSet(traces, np.zeros((len(traces), 0), dtype=np.int8)), path)
+    tracemalloc.start()
+    try:
+        loaded = read_trace_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.samples.nbytes for t in loaded.traces)
+    assert peak <= 1.6 * kept
+    for orig, back in zip(traces, loaded.traces):
+        assert back.samples.tobytes() == orig.samples.astype(np.float32).astype(np.float64).tobytes()
+
+
 def test_trace_file_writes_are_byte_identical(tmp_path, toy):
     cfg = SimConfig(samples_per_event=8, seed=4)
     ts = generate_training_set(toy, SwapKind.PLAIN, 2, cfg)
@@ -772,7 +799,7 @@ def test_rendered_windows_leave_out_the_ones_a_gap_splits(toy, multiplier):
     assert labels.tolist() == harvested.labels[whole, 0].tolist()
 
 
-@pytest.mark.parametrize("generate", [generate_training_set, generate_training_windows])
+@pytest.mark.parametrize("generate", [generate_training_set])
 @pytest.mark.parametrize("count", [0, -1])
 def test_training_needs_a_run(toy, generate, count):
     with pytest.raises(DomainError, match="count"):
@@ -804,3 +831,12 @@ def test_training_renders_the_swap_windows_only(p521, monkeypatch):
     ((n, spans),) = calls
     assert len(spans) == 521 and rows.shape == (521, spans[0, 1] - spans[0, 0])
     assert rows.size < 0.31 * n
+
+
+@pytest.mark.parametrize("multiplier", ["ladder", "daa"])
+@pytest.mark.parametrize("variant", list(SwapKind))
+def test_swap_burst_width_is_every_window_width(p128, variant, multiplier):
+    cfg = quiet_cfg(samples_per_event=16, seed=2)
+    trace = generate_training_set(p128, variant, 1, cfg, multiplier=multiplier).traces[0]
+    widths = {w.end - w.start for w in swap_windows(trace)}
+    assert widths == {swap_burst_width(p128, variant, multiplier, cfg)}
