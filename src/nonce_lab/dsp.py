@@ -2,9 +2,11 @@
 
 The stages mirror a capture workflow: bandpass around the activity
 carrier, rectify and median-smooth into an envelope, then matched-filter
-the envelope against the ladder-step fingerprint to locate every
-scalar-multiplication iteration.  The gaps
-between consecutive iterations are exactly the conditional swaps.
+the envelope against the ladder-step fingerprint.  One dynamic program
+over the correlation track places every scalar-multiplication iteration
+at once: the path of one match per iteration, a period apart but for one
+interruption, that gathers the most correlation.  The gaps between
+consecutive iterations are exactly the conditional swaps.
 
 Everything here runs on numpy alone.  The Kaiser band-pass design ports
 ``scipy.signal``'s ``kaiserord`` and ``firwin``, with the Cephes Bessel
@@ -13,7 +15,7 @@ taps bit for bit.  Both filters run through one FFT convolution,
 overlap-add over blocks of ``_FFT_BLOCK`` points; inputs that fit in one
 block get ``scipy.signal.fftconvolve``'s bits.  The envelope's sliding
 median is a selection, so it equals ``scipy.ndimage.median_filter``
-exactly.  ``align_swaps`` streams the capture through all three stages
+exactly.  ``align_swaps`` streams the capture through every stage
 block by block, each carrying its overlap into the next with the
 whole-array bits, so the correlation track is the only capture-length
 array it allocates.
@@ -21,13 +23,12 @@ array it allocates.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,12 +40,10 @@ from .swap_impls import SwapKind, SwapVariant
 from .tracesim import LeakageTrace, SimConfig, synthesize
 
 _STOPBAND_DB = 48.0
-_HOLE_CONFIDENCE_FLOOR = 0.25
-_SEED_CORR_FLOOR = 0.35
-# Ceiling of the seed correlation threshold: noise lowers every peak
-# roughly uniformly, so the threshold follows the strongest match down
-# from here to _SEED_CORR_FLOOR.
-_SEED_CORR_CEILING = 0.6
+# Least mean correlation of an aligned path; on pure noise it stays below.
+_CORR_FLOOR = 0.35
+# The longest interruption tracesim._layout splices in, in events.
+_LONGEST_GAP_EVENTS = 8
 # FFT length of one overlap-add block in _fft_convolve.
 _FFT_BLOCK = 1 << 14
 # Window pairs per sort in rectified_envelope.
@@ -300,6 +299,36 @@ def rectified_envelope(samples: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
+def _median_window(cfg: SimConfig) -> int:
+    """The envelope's median window: a quarter event, 3 samples at least."""
+    return max(3, cfg.samples_per_event // 4)
+
+
+def _moving_average(pieces: Iterable[np.ndarray], length: int) -> Iterator[np.ndarray]:
+    """Mean of each sample and the ``length - 1`` before it (zeros before
+    the first), piece by piece.  The running sum goes on from its last
+    total with the bits of one np.cumsum, and keeps ``length`` totals."""
+    sums = np.zeros(length)
+    for piece in pieces:
+        last = sums.size - 1
+        sums = np.concatenate((sums, piece))
+        np.cumsum(sums[last:], out=sums[last:])
+        yield (sums[length:] - sums[:-length]) / length
+        sums = sums[-length:]
+
+
+def _aligner_envelope(samples: np.ndarray, cfg: SimConfig) -> Iterator[np.ndarray]:
+    """The envelope both sides of the match are read from, in pieces:
+    band-passed, rectified and median-smoothed.  A median window shorter
+    than a period of the rectified carrier leaves its ripple in, which
+    sets near-equal correlation peaks that period apart; a moving average
+    over one period follows it then."""
+    window = _median_window(cfg)
+    pieces = _envelope_pieces(_bandpass_pieces(samples, cfg), samples.size, window)
+    ripple = cfg.sample_rate / (2.0 * cfg.f_mod)
+    return _moving_average(pieces, math.ceil(ripple)) if window < ripple else pieces
+
+
 def _iteration_events(curve: CurveParams, multiplier: str) -> EventRecorder:
     """Field-arithmetic events of one scalar-multiplication iteration.
 
@@ -333,8 +362,7 @@ def _pattern_template(curve: CurveParams, cfg: SimConfig, multiplier: str) -> np
     quiet = dataclasses.replace(
         cfg, noise_sigma=0.0, interruption_prob=0.0, interference=()
     )
-    samples = bandpass(synthesize(step, quiet).samples, quiet)
-    return rectified_envelope(samples, max(3, cfg.samples_per_event // 4))
+    return np.concatenate(list(_aligner_envelope(synthesize(step, quiet).samples, quiet)))
 
 
 def _window_spread(pieces: Iterable[np.ndarray], width: int, t_norm: float, out: np.ndarray):
@@ -378,189 +406,69 @@ def _normalized_xcorr(pieces: Iterable[np.ndarray], n: int, template: np.ndarray
     return out
 
 
-def _peak_positions(
-    corr: np.ndarray, threshold: float, min_distance: int
-) -> list[int]:
-    """Greedy non-maximum suppression over the correlation track."""
-    candidates = np.flatnonzero(corr >= threshold)
-    if candidates.size == 0:
-        return []
-    order = candidates[np.argsort(corr[candidates])[::-1]]
-    taken: list[int] = []
-    for position in order.tolist():
-        # taken stays sorted, so only the two kept neighbours can be close.
-        i = bisect.bisect(taken, position)
-        if (i == 0 or position - taken[i - 1] >= min_distance) and (
-            i == len(taken) or taken[i] - position >= min_distance
-        ):
-            taken.insert(i, position)
-    return taken
+def _bin_maxima(corr: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum of ``corr`` in each bin of ``step`` samples (the last
+    bin may be shorter), and where each sits."""
+    full = corr.size - corr.size % step
+    where = corr[:full].reshape(-1, step).argmax(axis=1) + np.arange(0, full, step)
+    if full < corr.size:
+        where = np.append(where, full + int(np.argmax(corr[full:])))
+    return corr[where], where
 
 
-def _coherent_spacing(positions: Sequence[int]) -> bool:
-    """Whether matches repeat at a stable spacing.
-
-    Genuine iterations sit one period apart, with dropouts showing up as
-    small integer multiples; the sparse maxima of a structureless track
-    land at incoherent offsets instead.  Too few matches to judge pass
-    by default, the match-count requirement governs there.
-    """
-    if len(positions) < 5:
-        return True
-    gaps = np.diff(positions)
-    period = float(np.median(gaps))
-    if period <= 0.0:
-        return False
-    multiples = np.round(gaps / period)
-    regular = (multiples >= 1) & (np.abs(gaps - multiples * period) <= 0.2 * period)
-    return float(np.mean(regular)) >= 0.6
+def _period(peaks: np.ndarray, shortest: int) -> int:
+    """The lag in [shortest, 2 * shortest) at which ``peaks`` repeat best:
+    the argmax of their autocorrelation, each lag's mean product."""
+    x = peaks - peaks.mean()
+    lags = np.arange(shortest, min(2 * shortest, x.size))
+    if lags.size == 0:
+        return shortest
+    size = _next_fast_len(x.size + int(lags[-1]))
+    spectrum = np.fft.rfft(x, size)
+    products = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[lags]
+    return int(lags[np.argmax(products / (x.size - lags))])
 
 
-def _sorted_median(values: list[float]) -> float:
-    """``np.median`` of an already sorted list, to the last bit."""
-    half = len(values) // 2
-    if len(values) % 2:
-        return values[half]
-    return (values[half - 1] + values[half]) / 2
-
-
-def _median_split_steps(values: list[float]) -> list[float]:
-    """|median(values[i:]) - median(values[:i])| for every split leaving at
-    least five values on each side, from two running sorted lists."""
-    prefix = sorted(values[:5])
-    suffix = sorted(values[5:])
-    steps = []
-    for value in values[5 : len(values) - 4]:
-        steps.append(abs(_sorted_median(suffix) - _sorted_median(prefix)))
-        bisect.insort(prefix, value)
-        del suffix[bisect.bisect_left(suffix, value)]
-    return steps
-
-
-def _grid_positions(
-    seeds: list[int], corr: np.ndarray, width: int, bits: int, spe: int
-) -> list[int] | None:
-    """Rebuild the full iteration grid from the threshold matches.
-
-    The multiplier is constant time, so the matches of one trace lie on
-    an exact arithmetic progression; a pairwise-median fit of its period
-    and phase shrugs off jittered or spurious matches, and every slot
-    with room in the trace is snapped to the strongest correlation
-    nearby.  Returns None when the matches do not sit on one coherent
-    grid (a scheduler interruption splits the progression, for
-    example); gap-based filling handles those traces instead.
-    """
-    if len(seeds) < 3:
-        return None
-    kept = sorted(seeds)
-    rough = float(np.median(np.diff(kept)))
-    if rough <= 0.0:
-        return None
-    # A spurious match squeezed between two genuine ones would shift
-    # every later slot number by one, so short spacings are resolved
-    # first by dropping the weaker match of the pair.
-    changed = True
-    while changed and len(kept) > 2:
-        changed = False
-        for i in range(len(kept) - 1):
-            if kept[i + 1] - kept[i] < 0.8 * rough:
-                weaker = i if corr[kept[i]] <= corr[kept[i + 1]] else i + 1
-                del kept[weaker]
-                changed = True
-                break
-    if len(kept) < 3:
-        return None
-    pos = np.asarray(kept, dtype=np.float64)
-    diffs = np.diff(pos)
-    steps = np.maximum(1, np.rint(diffs / rough).astype(np.int64))
-    slots = np.concatenate(([0], np.cumsum(steps)))
-
-    # Quantized single spacings bias a plain median period by whole
-    # samples, which drifts to hundreds across the trace, and a least
-    # squares fit has no outlier resistance; median slopes over long
-    # baselines give a sub-sample period either way.
-    baseline = max(1, len(pos) // 2)
-    slopes = (pos[baseline:] - pos[:-baseline]) / (
-        slots[baseline:] - slots[:-baseline]
-    )
-    period = float(np.median(slopes))
-    if period <= 0.0:
-        return None
-    anchor = float(np.median(pos - slots * period))
-    tolerance = max(2.0 * spe, 0.15 * period)
-    for _ in range(2):
-        coherent = np.abs(pos - (anchor + slots * period)) <= tolerance
-        if float(np.mean(coherent)) < 0.8:
-            return None
-        period, anchor = np.polyfit(slots[coherent], pos[coherent], 1)
-        period, anchor = float(period), float(anchor)
-    if period <= width:
-        return None
-    centered = (pos - (anchor + slots * period)).tolist()
-    if any(step > 0.75 * spe for step in _median_split_steps(centered)):
-        return None
-
-    snap = int(min(spe, max(0.0, (period - width) / 2.0 - 1.0)))
-    first = math.ceil((-anchor - snap) / period)
-    last = math.floor((corr.size - 1 - anchor + snap) / period)
-    if last < first:
-        return None
-    grid = [
-        min(max(int(round(anchor + j * period)), 0), corr.size - 1)
-        for j in range(first, last + 1)
-    ]
-    while len(grid) > bits:
-        if corr[grid[0]] <= corr[grid[-1]]:
-            grid.pop(0)
+def _best_path(peaks: np.ndarray, period: int, slots: int, jump: int) -> list[int]:
+    """The ``slots`` bins of greatest summed ``peaks`` whose consecutive
+    gaps lie in [period - 1, period + 1], save at most one that may be up
+    to ``jump`` longer: a Viterbi search (IEEE Trans. IT 1967).  Slot j's
+    bin is ``j * (period - 1) + u``, so every slot has the same ``states``
+    choices of u and a gap keeps or raises it.  ``table[j, used, u]`` is
+    the best sum of a path with slot j at u, the long gap used or not,
+    each row led by ``reach`` entries of -inf so that shifted slices are
+    the predecessors; the path is read back from it by argmax."""
+    step = period - 1
+    states = peaks.size - (slots - 1) * step
+    reach = jump + 2
+    band = sliding_window_view(peaks, states)[::step]
+    table = np.full((slots, 2, reach + states), -np.inf)
+    table[0, 0, reach:] = band[0]
+    pairs = np.empty((2, reach + states - 1))
+    for j in range(1, slots):
+        prev, cur = table[j - 1], table[j, :, reach:]
+        # Both rows: the best of the predecessors 0, 1 or 2 bins behind.
+        np.maximum(prev[:, :-1], prev[:, 1:], out=pairs)
+        np.maximum(pairs[:, reach - 2 : -1], prev[:, reach:], out=cur)
+        # Row 1 may also take the long gap from any of the reach + 1 bins
+        # behind in row 0: a running maximum over doubling windows.
+        run, width = pairs[0], 2
+        while 2 * width <= reach + 1:
+            run = np.maximum(run[:-width], run[width:])
+            width *= 2
+        np.maximum(cur[1], run[:states], out=cur[1])
+        np.maximum(cur[1], run[reach + 1 - width :], out=cur[1])
+        cur += band[j]
+    used, u = divmod(int(np.argmax(table[-1, :, reach:])), states)
+    path = [u]
+    for j in range(slots - 1, 0, -1):
+        before = table[j - 1, :, u : u + reach + 1]
+        if used and before[0].max() > before[1, -3:].max():
+            used, u = 0, u - reach + int(np.argmax(before[0]))
         else:
-            grid.pop()
-    snapped: list[int] = []
-    for g in grid:
-        lo = max(0, g - snap)
-        hi = min(corr.size, g + snap + 1)
-        snapped.append(lo + int(np.argmax(corr[lo:hi])))
-    return snapped
-
-
-def _fill_holes(
-    positions: list[int], corr: np.ndarray, width: int, target: int
-) -> list[int]:
-    """Insert plausible matches into oversized gaps.
-
-    An interruption splicing silence into one iteration can push that
-    iteration's correlation below the threshold; its neighbours then sit
-    two spacings apart.  The best remaining correlation inside each such
-    hole is accepted (down to a documented floor) until the expected
-    count is reached or nothing credible remains.  Insertions keep a
-    full template width away from both neighbours so the recovered
-    matches always segment into disjoint windows.
-    """
-    positions = sorted(positions)
-    while len(positions) < target and len(positions) >= 2:
-        spacing = float(np.median(np.diff(positions)))
-        margin = max(int(0.6 * spacing), width)
-        holes: list[tuple[int, int]] = []
-        if positions[0] >= 1.5 * spacing:
-            holes.append((0, positions[0] - width))
-        for a, b in zip(positions, positions[1:]):
-            if b - a >= 1.6 * spacing:
-                holes.append((a + margin, b - margin))
-        tail_room = corr.size - 1 - positions[-1]
-        if tail_room >= 0.8 * spacing:
-            holes.append((positions[-1] + margin, corr.size))
-        best_position = None
-        best_value = _HOLE_CONFIDENCE_FLOOR
-        for lo, hi in holes:
-            lo, hi = max(0, lo), min(corr.size, hi)
-            if hi <= lo:
-                continue
-            j = lo + int(np.argmax(corr[lo:hi]))
-            if corr[j] > best_value:
-                best_position, best_value = j, float(corr[j])
-        if best_position is None:
-            break
-        positions = sorted(positions + [best_position])
-    return positions
+            u -= 2 - int(np.argmax(before[used, -3:]))
+        path.append(u)
+    return [j * step + u for j, u in enumerate(reversed(path))]
 
 
 def align_swaps(
@@ -571,66 +479,51 @@ def align_swaps(
 ) -> AlignedSwapWindows:
     """Locate every conditional swap by finding the iterations around it.
 
-    The trace is bandpassed around the leak carrier and its
-    rectified-median envelope matched against the single-iteration
-    arithmetic fingerprint passed through the same filter; on the ladder
+    The trace's envelope is matched against the single-iteration
+    arithmetic fingerprint passed through the same chain; on the ladder
     each swap precedes its iteration, with double-and-add it follows, so
-    the inter-match gaps are the swap spans.  Confidence is the
-    normalized correlation of the adjacent match.
-
-    The match threshold follows the strongest correlation peak between a
-    fixed ceiling and an absolute floor.  Matches must also be numerous
-    enough for the room the trace has and repeat at a stable spacing;
-    sparse or incoherent maxima are rejected as structureless.
+    the gaps between matches are the swap spans.  The matches are the one
+    path through the track's bin maxima that ``_best_path`` finds: a match
+    per iteration the trace has room for, ``bits`` at most, a period apart
+    but for one interruption of up to ``_LONGEST_GAP_EVENTS``.  The period
+    is the lag, between one and two template widths, at which the maxima
+    repeat best, and a match's confidence is its bin's maximum.  A path
+    always exists, so a structureless trace shows in the path itself: one
+    that leaves out iterations the trace has room for, averages below
+    ``_CORR_FLOOR`` or overlaps itself raises ``AlignmentError``.
     """
     template = _pattern_template(curve, cfg, multiplier)
-    if template.size > trace.samples.size:
+    n, width = trace.samples.size, template.size
+    if width > n:
         raise AlignmentError("trace is shorter than one iteration")
-    # Streamed block by block: corr is the only trace-length array made.
-    n = trace.samples.size
-    envelope = _envelope_pieces(
-        _bandpass_pieces(trace.samples, cfg), n, max(3, cfg.samples_per_event // 4)
-    )
-    corr = _normalized_xcorr(envelope, n, template)
-    width = template.size
-    best = float(corr.max(initial=0.0))
-    threshold = max(_SEED_CORR_FLOOR, min(_SEED_CORR_CEILING, 0.6 * best))
-    positions = _peak_positions(corr, threshold, width)
+    # Streamed block by block: corr is the only trace-length array made,
+    # and it is dropped once its bin maxima are taken.
+    corr = _normalized_xcorr(_aligner_envelope(trace.samples, cfg), n, template)
+    step = _median_window(cfg)
+    peaks, where = _bin_maxima(corr, step)
+    del corr
+    period = _period(peaks, max(2, width // step))
     bits = curve.n.bit_length()
-    capacity = min(bits, trace.samples.size // width)
-    if len(positions) < max(1, capacity // 4):
+    slots = min(bits, (peaks.size - 1) // (period - 1) + 1)
+    if slots < min(bits, n // width):
+        raise AlignmentError(f"a {period * step}-sample period fits only {slots} iterations")
+    bins = _best_path(peaks, period, slots, _LONGEST_GAP_EVENTS * cfg.samples_per_event // step)
+    positions = where[bins].tolist()
+    confidence = peaks[bins]
+    if float(confidence.mean()) < _CORR_FLOOR:
         raise AlignmentError("no iteration pattern found in the trace")
-    if not _coherent_spacing(positions):
-        raise AlignmentError("correlation maxima lack a stable spacing")
-    grid = _grid_positions(positions, corr, width, bits, cfg.samples_per_event)
-    if grid is not None:
-        positions = grid
-    else:
-        positions = _fill_holes(positions, corr, width, bits)
-    if len(positions) > bits:
-        raise AlignmentError(
-            f"found {len(positions)} iteration patterns, expected at most {bits}"
-        )
     if any(b - a < width for a, b in zip(positions, positions[1:])):
         raise AlignmentError("matched iterations overlap; segmentation failed")
 
     gaps = [b - (a + width) for a, b in zip(positions, positions[1:])]
     typical_gap = int(np.median(gaps)) if gaps else positions[0]
-    spans: list[tuple[int, int]] = []
     if multiplier == "ladder":
-        for i, position in enumerate(positions):
-            start = positions[i - 1] + width if i else position - typical_gap
-            spans.append((max(0, start), position))
+        starts = [max(0, positions[0] - typical_gap)] + [p + width for p in positions[:-1]]
+        spans = list(zip(starts, positions))
     else:
-        total = trace.samples.size
-        for i, position in enumerate(positions):
-            end = positions[i + 1] if i + 1 < len(positions) else min(
-                total, position + width + typical_gap
-            )
-            spans.append((position + width, end))
-    return AlignedSwapWindows(
-        spans=tuple(spans), confidence=tuple(float(corr[p]) for p in positions)
-    )
+        ends = positions[1:] + [min(n, positions[-1] + width + typical_gap)]
+        spans = [(p + width, end) for p, end in zip(positions, ends)]
+    return AlignedSwapWindows(spans=tuple(spans), confidence=tuple(confidence.tolist()))
 
 
 def write_windows_csv(aligned: AlignedSwapWindows, path: Path | str) -> None:

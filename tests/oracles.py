@@ -210,24 +210,6 @@ def step_peak_groups(envelope, samples_per_event):
     ]
 
 
-def greedy_peak_positions(corr, threshold, min_distance):
-    """Quadratic greedy non-maximum suppression over a correlation track.
-
-    Candidates at or above ``threshold`` are visited strongest first and
-    kept when every position kept so far lies at least ``min_distance``
-    away; the result is sorted.
-    """
-    candidates = np.flatnonzero(corr >= threshold)
-    if candidates.size == 0:
-        return []
-    order = candidates[np.argsort(corr[candidates])[::-1]]
-    taken = []
-    for position in order:
-        if all(abs(position - p) >= min_distance for p in taken):
-            taken.append(int(position))
-    return sorted(taken)
-
-
 def scipy_bandpass(samples, sample_rate, center, bandwidth):
     """48 dB Kaiser band-pass designed and applied by ``scipy.signal`` itself."""
     from scipy import signal
@@ -694,17 +676,30 @@ def closure_daa(k, point, curve, swap_impl=None, recorder=None):
     return ProjectivePoint(*R, curve.field)
 
 
-def median_split_steps(centered):
-    """|median(centered[i:]) - median(centered[:i])| for every split that
-    leaves at least five values on each side, by two ``np.median`` calls
-    per split."""
-    steps = []
-    for i in range(5, len(centered) - 4):
-        step = abs(
-            float(np.median(centered[i:])) - float(np.median(centered[:i]))
-        )
-        steps.append(step)
-    return steps
+def exhaustive_best_path(peaks, period, slots, jump):
+    """Greatest summed ``peaks`` over every path of ``slots`` bins whose
+    consecutive gaps lie in [period - 1, period + 1], save at most one of
+    up to ``period + 1 + jump``, by trying them all; None when no path
+    fits."""
+    peaks = [float(v) for v in peaks]
+    best = None
+
+    def extend(path, total, long_gap_left):
+        nonlocal best
+        if len(path) == slots:
+            if best is None or total > best:
+                best = total
+            return
+        last = path[-1]
+        for gap in range(period - 1, period + 2 + (jump if long_gap_left else 0)):
+            nxt = last + gap
+            if nxt >= len(peaks):
+                break
+            extend(path + [nxt], total + peaks[nxt], long_gap_left and gap <= period + 1)
+
+    for first in range(len(peaks)):
+        extend([first], peaks[first], True)
+    return best
 
 
 def marker_columns(recorder, samples_per_event, divisors):

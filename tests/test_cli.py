@@ -696,8 +696,9 @@ class TestAttack:
             return LeakageTrace(samples, trace.sample_rate, trace.markers, trace.meta)
 
         monkeypatch.setattr(tracesim, "synthesize", noise_only)
-        assert run_cli("attack", "--curve", "secp128r1", "--seed", 4, "--out", tmp_path / "o") == 2
-        assert_one_error_line(capsys, "alignment")
+        for curve in ("secp128r1", "toy16"):
+            assert run_cli("attack", "--curve", curve, "--seed", 4, "--out", tmp_path / curve) == 2
+            assert_one_error_line(capsys, "alignment")
 
     def test_full_template_attack_profiles_enough_windows(self, tmp_path):
         # A full covariance over 64 poi needs 640 windows per class: 24
